@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-notavx2 test-equiv race lint lint-sarif lint-update-baseline vet fmt bench fuzz-smoke trace-demo clean
+.PHONY: all build test perfbench test-notavx2 test-equiv race lint lint-sarif lint-update-baseline vet fmt bench fuzz-smoke trace-demo clean
 
 all: build lint test
 
@@ -12,6 +12,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is its own module; the root ./... patterns skip it.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test . && $(GO) build .
 
 # Fallback-tier coverage: downgrade the CPUID probe so kernel dispatch
 # resolves to the portable go tier (see internal/tensor/dispatch.go).

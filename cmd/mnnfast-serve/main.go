@@ -13,9 +13,11 @@
 //	curl localhost:8080/v1/statz            # JSON snapshot with percentiles
 //
 // Concurrent answers are micro-batched into one batched inference call
-// per flush (the paper's §4.1.2 batching argument): -batch-max sets the
-// flush size (0 disables batching), -batch-wait how long a partial
-// batch waits for stragglers, and -queue-depth the admission bound —
+// per flush (the paper's §4.1.2 batching argument). Batching is
+// work-conserving: the dispatcher flushes whatever is queued the moment
+// it is free, so an answer never waits for company and batches grow
+// only while the engine is busy. -batch-max caps the flush size (0
+// disables batching) and -queue-depth sets the admission bound —
 // beyond it requests are shed with 429 + Retry-After. SIGINT/SIGTERM
 // drain in-flight batches before exit.
 //
@@ -39,6 +41,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -55,8 +58,7 @@ func main() {
 		skip        = flag.Float64("skip", 0, "zero-skipping threshold for inference (0 = exact)")
 		enablePprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		accessLog   = flag.Bool("access-log", false, "log one structured line per request to stderr")
-		batchMax    = flag.Int("batch-max", batcher.DefaultMaxBatch, "micro-batch flush size for /v1/answer (0 = no batching)")
-		batchWait   = flag.Duration("batch-wait", batcher.DefaultMaxWait, "how long a partial batch waits for stragglers")
+		batchMax    = flag.Int("batch-max", batcher.DefaultMaxBatch, "most answers one micro-batch flush takes for /v1/answer (0 = no batching)")
 		queueDepth  = flag.Int("queue-depth", 0, "bounded answer queue; beyond it requests get 429 (0 = 4x batch-max)")
 		parallelism = flag.Int("parallelism", 0, "worker count for intra-query parallel attention (0 = serial; try runtime.NumCPU())")
 		enableTrace = flag.Bool("trace", true, "record request-scoped span traces into an in-memory flight recorder (GET /v1/traces)")
@@ -78,6 +80,9 @@ func main() {
 	if err != nil {
 		log.Fatal("mnnfast-serve: ", err)
 	}
+	// Reclaim the decode or training garbage now, so whether a GC cycle
+	// lands before the first story embeddings does not set the peak RSS.
+	runtime.GC()
 	srv, err := server.New(model, corpus)
 	if err != nil {
 		log.Fatal("mnnfast-serve: ", err)
@@ -125,10 +130,9 @@ func main() {
 	if *batchMax > 0 {
 		srv.EnableBatching(server.BatchOptions{
 			MaxBatch:   *batchMax,
-			MaxWait:    *batchWait,
 			QueueDepth: *queueDepth,
 		})
-		log.Printf("micro-batching: max batch %d, max wait %v", *batchMax, *batchWait)
+		log.Printf("micro-batching: max batch %d, work-conserving flush", *batchMax)
 	}
 	if *parallelism > 0 {
 		if err := srv.EnableParallelism(*parallelism); err != nil {

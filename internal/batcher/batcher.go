@@ -1,14 +1,20 @@
 // Package batcher is a dynamic micro-batching scheduler: concurrent
 // callers hand it one request each, and a single dispatcher coalesces
-// them into batches for a caller-supplied run function — flushing when
-// the batch is full or when the oldest queued request has waited
-// MaxWait, whichever comes first.
+// them into batches for a caller-supplied run function. The flush
+// policy is work-conserving: the dispatcher blocks only for the first
+// queued request, takes whatever else is already queued (up to
+// MaxBatch) without waiting, and flushes at once. A request never waits
+// for company; the requests that arrive while a batch runs form the
+// next batch, so batches grow exactly when the dispatcher is the
+// bottleneck.
 //
 // This is the serving-side mechanism behind the paper's batching
 // argument (§4.1.2): the inference engine amortizes every memory-row
 // read across the questions of a batch, but someone has to turn a
 // stream of independent HTTP requests into batches without letting tail
-// latency or overload behavior degrade. The batcher owns that policy:
+// latency or overload behavior degrade. That amortization only exists
+// while requests are already waiting, so holding an idle request back
+// for stragglers buys nothing but latency. The batcher owns the policy:
 //
 //   - Bounded queue with admission control: a full queue rejects
 //     immediately with ErrQueueFull (the server maps this to 429 +
@@ -29,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -40,28 +47,19 @@ var (
 	ErrClosed = errors.New("batcher: closed")
 )
 
-// Default policy knobs, used when the corresponding Option is zero.
-const (
-	DefaultMaxBatch = 8
-	DefaultMaxWait  = 2 * time.Millisecond
-)
+// DefaultMaxBatch is the batch-size cap used when Options.MaxBatch is
+// below 1.
+const DefaultMaxBatch = 8
 
 // Options shape the flush and admission policy.
 type Options struct {
-	// MaxBatch flushes as soon as this many requests are batched
-	// (default DefaultMaxBatch).
+	// MaxBatch caps how many queued requests one flush takes (default
+	// DefaultMaxBatch).
 	MaxBatch int
-	// MaxWait flushes a partial batch once its first request has waited
-	// this long (default DefaultMaxWait). Zero or negative means flush
-	// immediately with whatever is queued at collection time.
-	MaxWait time.Duration
 	// QueueDepth bounds how many requests may sit queued awaiting
 	// collection (default 4×MaxBatch). Admission beyond it fails with
 	// ErrQueueFull.
 	QueueDepth int
-	// Clock supplies time; nil means the real clock. Tests inject a
-	// fake to drive the MaxWait timer deterministically.
-	Clock Clock
 	// Metrics, when non-nil, receives batch-size, queue-wait, flush,
 	// shed, and expiry accounting.
 	Metrics *Metrics
@@ -71,26 +69,29 @@ func (o *Options) normalize() {
 	if o.MaxBatch < 1 {
 		o.MaxBatch = DefaultMaxBatch
 	}
-	if o.MaxWait == 0 {
-		o.MaxWait = DefaultMaxWait
-	}
 	if o.QueueDepth < 1 {
 		o.QueueDepth = 4 * o.MaxBatch
 	}
-	if o.Clock == nil {
-		o.Clock = realClock{}
-	}
 }
+
+// Claim states of a pending request. The dispatcher and an abandoning
+// Do race to move a request out of queued; exactly one wins.
+const (
+	queued    int32 = iota
+	taken           // a flush committed to run it; Do waits for done
+	abandoned       // Do returned ctx.Err(); the flush skips it
+)
 
 // pending wraps one queued request. The done channel is buffered and
 // never closed, so the wrapper can be pooled and reused; completion is
 // one token send.
 type pending[T any] struct {
-	ctx  context.Context
-	val  T
-	err  error
-	enq  time.Time
-	done chan struct{}
+	ctx   context.Context
+	val   T
+	err   error
+	enq   time.Time
+	state atomic.Int32
+	done  chan struct{}
 }
 
 // Batcher coalesces concurrent Do calls into batches for run.
@@ -133,14 +134,13 @@ func New[T any](run func(batch []T), opt Options) *Batcher[T] {
 // for queue-depth gauges.
 func (b *Batcher[T]) QueueLen() int { return len(b.queue) }
 
-// MaxWait reports the normalized flush deadline, for Retry-After hints.
-func (b *Batcher[T]) MaxWait() time.Duration { return b.opt.MaxWait }
-
 // Do submits one request and blocks until its batch has run (returning
 // nil, with the response filled into val by run), admission fails
-// (ErrQueueFull, ErrClosed), or ctx ends first (returning ctx.Err();
-// the request is abandoned and, if still queued at flush time, sheds
-// its batch slot).
+// (ErrQueueFull, ErrClosed), or ctx ends while the request is still
+// queued (returning ctx.Err(); the request is abandoned and never
+// occupies a batch slot). Once a flush has taken the request, Do waits
+// for its run, so a nil error is returned exactly for the requests run
+// saw.
 //
 //mnnfast:hotpath
 func (b *Batcher[T]) Do(ctx context.Context, val T) error {
@@ -149,7 +149,8 @@ func (b *Batcher[T]) Do(ctx context.Context, val T) error {
 		p = &pending[T]{done: make(chan struct{}, 1)}
 	}
 	p.ctx, p.val, p.err = ctx, val, nil
-	p.enq = b.opt.Clock.Now()
+	p.state.Store(queued)
+	p.enq = time.Now()
 
 	b.mu.RLock()
 	if b.closed {
@@ -175,11 +176,17 @@ func (b *Batcher[T]) Do(ctx context.Context, val T) error {
 		b.recycle(p)
 		return err
 	case <-ctx.Done():
-		// Abandoned: the dispatcher still completes p eventually (its
-		// done send cannot block — the channel is buffered), but the
-		// wrapper is not recycled because the dispatcher may yet touch
-		// it.
-		return ctx.Err()
+		if p.state.CompareAndSwap(queued, abandoned) {
+			// The dispatcher still completes p eventually (its done
+			// send cannot block — the channel is buffered), but the
+			// wrapper is not recycled because the dispatcher may yet
+			// touch it.
+			return ctx.Err()
+		}
+		<-p.done // a flush took p first: its result is on the way
+		err := p.err
+		b.recycle(p)
+		return err
 	}
 }
 
@@ -219,10 +226,8 @@ func (b *Batcher[T]) dispatch() {
 	}
 }
 
-// collect gathers up to MaxBatch requests into b.batch, starting from
-// first: greedily take what is already queued, then wait out the
-// MaxWait timer for stragglers. A full batch never arms the timer, so
-// the MaxBatch=1 path stays allocation-free.
+// collect gathers first plus whatever is already queued, up to
+// MaxBatch, into b.batch. It never waits: an empty queue ends the batch.
 //
 //mnnfast:hotpath allow=append b.batch grows only toward MaxBatch capacity set at construction
 func (b *Batcher[T]) collect(first *pending[T]) {
@@ -234,24 +239,7 @@ func (b *Batcher[T]) collect(first *pending[T]) {
 				return
 			}
 			b.batch = append(b.batch, p)
-			continue
 		default:
-		}
-		break
-	}
-	if len(b.batch) >= b.opt.MaxBatch || b.opt.MaxWait <= 0 {
-		return
-	}
-	t := b.opt.Clock.NewTimer(b.opt.MaxWait)
-	defer t.Stop()
-	for len(b.batch) < b.opt.MaxBatch {
-		select {
-		case p, ok := <-b.queue:
-			if !ok {
-				return
-			}
-			b.batch = append(b.batch, p)
-		case <-t.C():
 			return
 		}
 	}
@@ -263,16 +251,16 @@ func (b *Batcher[T]) collect(first *pending[T]) {
 //mnnfast:hotpath allow=append live/vals grow only toward MaxBatch capacity set at construction
 func (b *Batcher[T]) flush() {
 	m := b.opt.Metrics
-	now := b.opt.Clock.Now()
+	now := time.Now()
 	live := b.batch[:0]
 	b.vals = b.vals[:0]
 	for _, p := range b.batch {
-		if err := p.ctx.Err(); err != nil {
+		if p.ctx.Err() != nil || !p.state.CompareAndSwap(queued, taken) {
 			// Expired while queued: complete without a batch slot.
 			if m != nil {
 				m.Expired.Inc()
 			}
-			p.err = err
+			p.err = p.ctx.Err()
 			p.done <- struct{}{}
 			continue
 		}

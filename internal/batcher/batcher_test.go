@@ -12,62 +12,6 @@ import (
 	"mnnfast/internal/obs"
 )
 
-// fakeClock drives the MaxWait timer deterministically: time moves only
-// when the test calls Advance.
-type fakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	ch    chan time.Time
-	at    time.Time
-	fired bool
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) NewTimer(d time.Duration) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{ch: make(chan time.Time, 1), at: c.now.Add(d)}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	for _, t := range c.timers {
-		if !t.fired && !t.at.After(c.now) {
-			t.fired = true
-			t.ch <- c.now
-		}
-	}
-}
-
-func (c *fakeClock) timerCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.timers)
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-
-func (t *fakeTimer) Stop() bool {
-	return true // the dispatcher only stops timers it no longer selects on
-}
-
 // waitFor polls cond for up to ~2s; the conditions under test are
 // driven by a live dispatcher goroutine, not by wall time.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -95,10 +39,10 @@ func doubler(batch []*req) {
 func TestFlushOnMaxBatch(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b := New(doubler, Options{MaxBatch: 4, MaxWait: time.Hour, QueueDepth: 16, Metrics: m})
+	b := New(doubler, Options{MaxBatch: 4, QueueDepth: 16, Metrics: m})
 	defer b.Close()
 
-	const n = 8 // a multiple of MaxBatch, so no partial batch waits out the hour
+	const n = 8 // twice MaxBatch, so at least two flushes
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	reqs := make([]*req, n)
@@ -127,68 +71,99 @@ func TestFlushOnMaxBatch(t *testing.T) {
 	}
 }
 
-func TestFlushOnMaxWaitTimer(t *testing.T) {
-	clk := newFakeClock()
+// TestLoneRequestFlushesImmediately: a request on an idle dispatcher
+// never waits for company. Nothing else is ever queued, so the flush
+// is a batch of one, and Do returns without waiting on any timer.
+func TestLoneRequestFlushesImmediately(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	gate := make(chan struct{})
-	started := make(chan struct{}, 8)
-	var mu sync.Mutex
-	var sizes []int
-	b := New(func(batch []*req) {
-		mu.Lock()
-		sizes = append(sizes, len(batch))
-		mu.Unlock()
-		started <- struct{}{}
-		<-gate
-		doubler(batch)
-	}, Options{MaxBatch: 8, MaxWait: 50 * time.Millisecond, Clock: clk, Metrics: m})
+	b := New(doubler, Options{MaxBatch: 8, Metrics: m})
 	defer b.Close()
 
-	var wg sync.WaitGroup
-	do := func(x int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := b.Do(context.Background(), &req{X: x}); err != nil {
-				t.Errorf("Do(%d): %v", x, err)
+	r := &req{X: 21}
+	if err := b.Do(context.Background(), r); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if r.Y != 42 {
+		t.Errorf("Y = %d, want 42", r.Y)
+	}
+	if m.Flushes.Value() != 1 || m.BatchSize.Count() != 1 || m.BatchSize.Sum() != 1 {
+		t.Errorf("flushes/batches/size sum = %d/%d/%d, want 1/1/1",
+			m.Flushes.Value(), m.BatchSize.Count(), m.BatchSize.Sum())
+	}
+	if m.QueueWait.Count() != 1 {
+		t.Errorf("queue wait count = %d, want 1", m.QueueWait.Count())
+	}
+}
+
+// TestQueuedRequestsFlushTogether: while run holds the dispatcher, N
+// requests queue behind it; once it frees up, the next flush takes
+// min(N, MaxBatch) of them at once and the rest follow in order.
+func TestQueuedRequestsFlushTogether(t *testing.T) {
+	for _, tc := range []struct {
+		queued int
+		want   []int
+	}{
+		{queued: 3, want: []int{1, 3}},
+		{queued: 4, want: []int{1, 4}},
+		{queued: 6, want: []int{1, 4, 2}},
+	} {
+		reg := obs.NewRegistry()
+		m := NewMetrics(reg)
+		gate := make(chan struct{})
+		started := make(chan struct{}, 8)
+		var mu sync.Mutex
+		var sizes []int
+		b := New(func(batch []*req) {
+			mu.Lock()
+			sizes = append(sizes, len(batch))
+			mu.Unlock()
+			started <- struct{}{}
+			<-gate
+			doubler(batch)
+		}, Options{MaxBatch: 4, QueueDepth: 8, Metrics: m})
+
+		var wg sync.WaitGroup
+		do := func(x int) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := &req{X: x}
+				if err := b.Do(context.Background(), r); err != nil {
+					t.Errorf("Do(%d): %v", x, err)
+				} else if r.Y != 2*x {
+					t.Errorf("Do(%d): Y = %d, want %d", x, r.Y, 2*x)
+				}
+			}()
+		}
+		do(0)
+		<-started // batch [0] is in run, holding the dispatcher
+		for i := 1; i <= tc.queued; i++ {
+			do(i)
+		}
+		waitFor(t, "requests queued", func() bool { return b.QueueLen() == tc.queued })
+		close(gate) // release batch [0]; later runs pass the gate instantly
+		wg.Wait()
+		b.Close()
+
+		mu.Lock()
+		if len(sizes) != len(tc.want) {
+			t.Errorf("queued %d: flush sizes = %v, want %v", tc.queued, sizes, tc.want)
+		} else {
+			for i := range sizes {
+				if sizes[i] != tc.want[i] {
+					t.Errorf("queued %d: flush sizes = %v, want %v", tc.queued, sizes, tc.want)
+					break
+				}
 			}
-		}()
-	}
-	// A lone request cannot fill MaxBatch=8; only the timer flushes it.
-	do(0)
-	waitFor(t, "timer armed", func() bool { return clk.timerCount() == 1 })
-	clk.Advance(50 * time.Millisecond)
-	<-started // batch [0] flushed by the timer; run now blocks on the gate
-
-	// Three stragglers pile up while the dispatcher is busy; the next
-	// collect grabs all of them at once and, still short of MaxBatch,
-	// arms a second timer.
-	do(1)
-	do(2)
-	do(3)
-	waitFor(t, "stragglers queued", func() bool { return b.QueueLen() == 3 })
-	close(gate) // release batch [0]; later runs pass the gate instantly
-	waitFor(t, "second timer armed", func() bool { return clk.timerCount() == 2 })
-	clk.Advance(50 * time.Millisecond)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 3 {
-		t.Errorf("flush sizes = %v, want [1 3]", sizes)
-	}
-	if m.BatchSize.Count() != 2 || m.BatchSize.Sum() != 4 {
-		t.Errorf("batch size count/sum = %d/%d, want 2/4", m.BatchSize.Count(), m.BatchSize.Sum())
-	}
-	// Each request waited (in fake time) at most the 50ms MaxWait; the
-	// histogram quantile reports the covering power-of-two bucket bound,
-	// so allow up to 2^26ns ≈ 67ms.
-	if m.QueueWait.Count() != 4 {
-		t.Errorf("queue wait count = %d, want 4", m.QueueWait.Count())
-	}
-	if max := m.QueueWait.Quantile(1); max > int64(1)<<26 {
-		t.Errorf("max queue wait = %dns, want <= 2^26ns (bucket covering 50ms)", max)
+		}
+		mu.Unlock()
+		if got, want := m.BatchSize.Sum(), int64(tc.queued+1); got != want {
+			t.Errorf("queued %d: batch size sum = %d, want %d", tc.queued, got, want)
+		}
+		if got, want := m.QueueWait.Count(), int64(tc.queued+1); got != want {
+			t.Errorf("queued %d: queue wait count = %d, want %d", tc.queued, got, want)
+		}
 	}
 }
 
@@ -210,19 +185,22 @@ func gatedBatcher(opt Options) (b *Batcher[*req], gate chan struct{}, started ch
 func TestQueueFullShedsImmediately(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b, gate, started, _ := gatedBatcher(Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 2, Metrics: m})
+	b, gate, started, _ := gatedBatcher(Options{MaxBatch: 1, QueueDepth: 2, Metrics: m})
 
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ { // 1 in flight + 2 queued
+	do := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			if err := b.Do(context.Background(), &req{X: i}); err != nil {
 				t.Errorf("Do(%d): %v", i, err)
 			}
-		}(i)
+		}()
 	}
+	do(0)
 	<-started // batch 1 is in run, holding the dispatcher
+	do(1)     // only now queue two more, so neither can race the
+	do(2)     // first for a queue slot
 	waitFor(t, "queue full", func() bool { return b.QueueLen() == 2 })
 
 	// Admission control: the 4th request is rejected NOW, not queued.
@@ -246,7 +224,7 @@ func TestQueueFullShedsImmediately(t *testing.T) {
 func TestExpiredWhileQueuedSkipsBatchSlot(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 4, Metrics: m})
+	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, QueueDepth: 4, Metrics: m})
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -288,7 +266,7 @@ func TestExpiredWhileQueuedSkipsBatchSlot(t *testing.T) {
 }
 
 func TestCloseDrainsInFlightAndQueued(t *testing.T) {
-	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 8})
+	b, gate, started, ran := gatedBatcher(Options{MaxBatch: 1, QueueDepth: 8})
 
 	const n = 3
 	var wg sync.WaitGroup
@@ -338,7 +316,7 @@ func TestCloseDrainsInFlightAndQueued(t *testing.T) {
 
 // TestInterleavingEquivalence is the batcher-level correctness
 // property, testing/quick-style with a seeded generator: whatever the
-// arrival interleaving, batch-size limit, and wait policy, every Do
+// arrival interleaving and batch-size limit, every Do
 // returns exactly its own request's answer.
 func TestInterleavingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
@@ -351,11 +329,7 @@ func TestInterleavingEquivalence(t *testing.T) {
 			}
 			batches.Add(1)
 			doubler(batch)
-		}, Options{
-			MaxBatch:   maxBatch,
-			MaxWait:    time.Duration(rng.Intn(3)) * time.Millisecond,
-			QueueDepth: 64,
-		})
+		}, Options{MaxBatch: maxBatch, QueueDepth: 64})
 
 		goroutines := 1 + rng.Intn(8)
 		perG := 1 + rng.Intn(10)
@@ -398,7 +372,7 @@ func TestInterleavingEquivalence(t *testing.T) {
 func TestConcurrentStress(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	b := New(doubler, Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 32, Metrics: m})
+	b := New(doubler, Options{MaxBatch: 8, QueueDepth: 32, Metrics: m})
 
 	const goroutines = 16
 	const perG = 50
@@ -447,7 +421,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestDoAllocs: with a full batch of one (no timer armed) the whole
+// TestDoAllocs: with a batch of one the whole
 // Do→collect→flush→complete round trip allocates nothing at steady
 // state — pending wrappers are pooled and completion channels reused.
 // This is the "0 allocs/op outside the flush boundary" guarantee: the
@@ -456,7 +430,7 @@ func TestDoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are not meaningful")
 	}
-	b := New(doubler, Options{MaxBatch: 1, MaxWait: time.Hour, QueueDepth: 4})
+	b := New(doubler, Options{MaxBatch: 1, QueueDepth: 4})
 	defer b.Close()
 	r := &req{X: 3}
 	ctx := context.Background()

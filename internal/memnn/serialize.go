@@ -2,6 +2,7 @@ package memnn
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -50,16 +51,8 @@ func Load(r io.Reader) (*Model, *Corpus, error) {
 	if err := s.Cfg.validate(); err != nil {
 		return nil, nil, fmt.Errorf("memnn: corrupt snapshot: %w", err)
 	}
-	wantEmb, wantTime := s.Cfg.Hops+1, s.Cfg.Hops
-	if s.Cfg.Tying == TyingLayerwise {
-		wantEmb, wantTime = 2, 1
-		if s.H == nil {
-			return nil, nil, fmt.Errorf("memnn: corrupt snapshot: layer-wise model missing H")
-		}
-	}
-	if len(s.Emb) != wantEmb || len(s.TimeIn) != wantTime || len(s.TimeOut) != wantTime {
-		return nil, nil, fmt.Errorf("memnn: corrupt snapshot: table counts do not match %d hops (%s tying)",
-			s.Cfg.Hops, s.Cfg.Tying)
+	if err := s.check(); err != nil {
+		return nil, nil, fmt.Errorf("memnn: corrupt snapshot: %w", err)
 	}
 	m := &Model{
 		Cfg: s.Cfg, B: s.B, Emb: s.Emb,
@@ -74,7 +67,70 @@ func Load(r io.Reader) (*Model, *Corpus, error) {
 	for i, a := range s.Answers {
 		c.AnswerIdx[a] = i
 	}
+	if c.Vocab.Size() != s.Cfg.Vocab {
+		return nil, nil, fmt.Errorf("memnn: corrupt snapshot: %d distinct words, want %d", c.Vocab.Size(), s.Cfg.Vocab)
+	}
 	return m, c, nil
+}
+
+// check validates a decoded snapshot against its Cfg: table counts,
+// every matrix's shape and data length, and the answer inventory, so a
+// corrupt file fails here instead of as an out-of-range panic in
+// Predict.
+func (s *snapshot) check() error {
+	c := s.Cfg
+	wantEmb, wantTime := c.Hops+1, c.Hops
+	if c.Tying == TyingLayerwise {
+		wantEmb, wantTime = 2, 1
+	}
+	if len(s.Emb) != wantEmb || len(s.TimeIn) != wantTime || len(s.TimeOut) != wantTime {
+		return fmt.Errorf("table counts do not match %d hops (%s tying)", c.Hops, c.Tying)
+	}
+	if err := checkShape(s.B, c.Vocab, c.Dim); err != nil {
+		return fmt.Errorf("B: %w", err)
+	}
+	for i, e := range s.Emb {
+		if err := checkShape(e, c.Vocab, c.Dim); err != nil {
+			return fmt.Errorf("Emb[%d]: %w", i, err)
+		}
+	}
+	for i := range s.TimeIn {
+		if err := checkShape(s.TimeIn[i], c.MaxSent, c.Dim); err != nil {
+			return fmt.Errorf("TimeIn[%d]: %w", i, err)
+		}
+		if err := checkShape(s.TimeOut[i], c.MaxSent, c.Dim); err != nil {
+			return fmt.Errorf("TimeOut[%d]: %w", i, err)
+		}
+	}
+	switch {
+	case c.Tying == TyingLayerwise:
+		if err := checkShape(s.H, c.Dim, c.Dim); err != nil {
+			return fmt.Errorf("H: %w", err)
+		}
+	case s.H != nil:
+		return fmt.Errorf("H present in a %s-tied model", c.Tying)
+	}
+	if err := checkShape(s.W, c.Answers, c.Dim); err != nil {
+		return fmt.Errorf("W: %w", err)
+	}
+	if len(s.Answers) != c.Answers {
+		return fmt.Errorf("%d answers, want %d", len(s.Answers), c.Answers)
+	}
+	if s.MaxSent < 1 || s.MaxSent > c.MaxSent {
+		return fmt.Errorf("corpus MaxSent %d outside [1, %d]", s.MaxSent, c.MaxSent)
+	}
+	return nil
+}
+
+// checkShape reports whether m is a rows×cols matrix whose data fills it.
+func checkShape(m *tensor.Matrix, rows, cols int) error {
+	switch {
+	case m == nil:
+		return errors.New("missing")
+	case m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols:
+		return fmt.Errorf("%d×%d with %d values, want %d×%d", m.Rows, m.Cols, len(m.Data), rows, cols)
+	}
+	return nil
 }
 
 func rebuildVocab(words []string) *vocab.Vocabulary {

@@ -2,7 +2,9 @@ package memnn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mnnfast/internal/babi"
@@ -71,5 +73,92 @@ func TestSaveNil(t *testing.T) {
 func TestLoadGarbage(t *testing.T) {
 	if _, _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
 		t.Error("Load of garbage succeeded")
+	}
+}
+
+// TestLoadRejectsBadShapes corrupts one part of an otherwise valid
+// snapshot at a time — a truncated or reshaped matrix, a missing
+// table, a vocabulary or answer inventory that disagrees with Cfg — and
+// expects Load to fail instead of returning a model that panics in
+// Predict.
+func TestLoadRejectsBadShapes(t *testing.T) {
+	c := smallCorpus(t, babi.TaskSingleFact, 20, 6, 41)
+	adjacent := newTestModel(t, c, 2, 41)
+	layerwise, err := NewModel(Config{
+		Dim: 16, Hops: 2, Vocab: c.Vocab.Size(), Answers: len(c.Answers),
+		MaxSent: c.MaxSent, Tying: TyingLayerwise,
+	}, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(m *Model) snapshot {
+		return snapshot{
+			Cfg: m.Cfg, B: m.B, H: m.H, W: m.W,
+			Emb:     append([]*tensor.Matrix(nil), m.Emb...),
+			TimeIn:  append([]*tensor.Matrix(nil), m.TimeIn...),
+			TimeOut: append([]*tensor.Matrix(nil), m.TimeOut...),
+			Words:   c.Vocab.Words(),
+			Answers: append([]string(nil), c.Answers...),
+			MaxSent: c.MaxSent,
+		}
+	}
+	load := func(s snapshot) error {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Load(&buf)
+		return err
+	}
+	half := func(m *tensor.Matrix) *tensor.Matrix {
+		return &tensor.Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data[:len(m.Data)/2]}
+	}
+	shaped := func(rows, cols int) *tensor.Matrix {
+		return &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+	}
+	d, v, a, ns := adjacent.Cfg.Dim, adjacent.Cfg.Vocab, adjacent.Cfg.Answers, adjacent.Cfg.MaxSent
+
+	for _, m := range []*Model{adjacent, layerwise} {
+		if err := load(snap(m)); err != nil {
+			t.Fatalf("valid %s-tied snapshot: %v", m.Cfg.Tying, err)
+		}
+	}
+	cases := []struct {
+		name    string
+		model   *Model
+		corrupt func(s *snapshot)
+	}{
+		{"B truncated", adjacent, func(s *snapshot) { s.B = half(s.B) }},
+		{"B rows", adjacent, func(s *snapshot) { s.B = shaped(v-1, d) }},
+		{"B missing", adjacent, func(s *snapshot) { s.B = nil }},
+		{"Emb[0] truncated", adjacent, func(s *snapshot) { s.Emb[0] = half(s.Emb[0]) }},
+		{"Emb[2] cols", adjacent, func(s *snapshot) { s.Emb[2] = shaped(v, d+1) }},
+		{"Emb count", adjacent, func(s *snapshot) { s.Emb = s.Emb[:2] }},
+		{"TimeIn[0] truncated", adjacent, func(s *snapshot) { s.TimeIn[0] = half(s.TimeIn[0]) }},
+		{"TimeIn[1] rows", adjacent, func(s *snapshot) { s.TimeIn[1] = shaped(ns+1, d) }},
+		{"TimeOut[0] cols", adjacent, func(s *snapshot) { s.TimeOut[0] = shaped(ns, d-1) }},
+		{"TimeOut[1] truncated", adjacent, func(s *snapshot) { s.TimeOut[1] = half(s.TimeOut[1]) }},
+		{"W truncated", adjacent, func(s *snapshot) { s.W = half(s.W) }},
+		{"W rows", adjacent, func(s *snapshot) { s.W = shaped(a+1, d) }},
+		{"W missing", adjacent, func(s *snapshot) { s.W = nil }},
+		{"H on adjacent", adjacent, func(s *snapshot) { s.H = shaped(d, d) }},
+		{"H truncated", layerwise, func(s *snapshot) { s.H = half(s.H) }},
+		{"H cols", layerwise, func(s *snapshot) { s.H = shaped(d, d+1) }},
+		{"H missing", layerwise, func(s *snapshot) { s.H = nil }},
+		{"layer-wise Emb[1] truncated", layerwise, func(s *snapshot) { s.Emb[1] = half(s.Emb[1]) }},
+		{"extra word", adjacent, func(s *snapshot) { s.Words = append(s.Words, "zebra") }},
+		{"missing word", adjacent, func(s *snapshot) { s.Words = s.Words[:len(s.Words)-1] }},
+		{"duplicate word", adjacent, func(s *snapshot) { s.Words[len(s.Words)-1] = s.Words[1] }},
+		{"missing answer", adjacent, func(s *snapshot) { s.Answers = s.Answers[:len(s.Answers)-1] }},
+		{"corpus MaxSent over capacity", adjacent, func(s *snapshot) { s.MaxSent = ns + 1 }},
+	}
+	for _, tc := range cases {
+		s := snap(tc.model)
+		tc.corrupt(&s)
+		if err := load(s); err == nil {
+			t.Errorf("%s: Load succeeded, want an error", tc.name)
+		} else if !strings.Contains(err.Error(), "corrupt snapshot") {
+			t.Errorf("%s: error %q does not name a corrupt snapshot", tc.name, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -53,6 +54,49 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// blockerSession is the story-less session holdDispatcher wedges the
+// dispatcher on. Its answer always ends in 409, so it never reaches
+// inference and adds nothing to the model-side metrics.
+const blockerSession = "blocker"
+
+// holdDispatcher wedges s's batch dispatcher so a test, not timing,
+// decides which answers share a flush. It write-locks the blocker
+// session, sends one answer for it, and waits until a flush has taken
+// that answer; the flush then blocks on the session lock, and every
+// answer sent meanwhile queues behind it. release unlocks the session
+// and checks the blocker's 409; the dispatcher then flushes everything
+// queued, MaxBatch at a time.
+func holdDispatcher(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	sess := s.session(answerReq(blockerSession, ""))
+	sess.mu.Lock()
+	taken := scrape(t, s).Value("mnnfast_batch_queue_wait_seconds_count") + 1
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(rec, answerReq(blockerSession, "where is john?"))
+	}()
+	waitForCond(t, "blocker answer taken by a flush", func() bool {
+		return scrape(t, s).Value("mnnfast_batch_queue_wait_seconds_count") == taken
+	})
+	return func() {
+		sess.mu.Unlock()
+		<-done
+		if rec.Code != http.StatusConflict {
+			t.Errorf("blocker answer: %d %s, want 409", rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// waitQueued polls the queue-length gauge until n answers are queued.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	waitForCond(t, fmt.Sprintf("%d answers queued", n), func() bool {
+		return scrape(t, s).Value("mnnfast_batch_queue_length") == float64(n)
+	})
+}
+
 // answerReq builds a direct /v1/answer request (no network) so tests
 // control the context precisely.
 func answerReq(session, question string) *http.Request {
@@ -67,14 +111,16 @@ func answerReq(session, question string) *http.Request {
 // bodies to an unbatched server answering the same questions serially —
 // whatever batch compositions the interleaving produces. It also checks
 // the acceptance criterion that real concurrency actually batches
-// (batch-size p50 > 1).
+// (batch-size p50 > 1): each round holds the dispatcher until every
+// client's answer is queued, so the work-conserving flush sees them
+// all at once.
 func TestBatchedEquivalence(t *testing.T) {
 	base := testServer(t)
 	plain, err := New(base.model, base.corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := newBatchedServer(t, BatchOptions{MaxBatch: 8, MaxWait: 5 * time.Millisecond})
+	batched := newBatchedServer(t, BatchOptions{MaxBatch: 8})
 	defer batched.Close()
 
 	stories := map[string][]string{
@@ -116,54 +162,65 @@ func TestBatchedEquivalence(t *testing.T) {
 	}
 
 	// Concurrent batched traffic: 16 clients × 25 requests, seeded
-	// random (session, question) picks.
+	// random (session, question) picks, one request per client per
+	// round.
 	ts := httptest.NewServer(batched.Handler())
 	defer ts.Close()
 	const clients, perClient = 16, 25
-	var wg sync.WaitGroup
-	var mismatches atomic.Int64
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(9000 + c)))
-			for i := 0; i < perClient; i++ {
-				sess := sessions[rng.Intn(len(sessions))]
-				q := questions[rng.Intn(len(questions))]
-				req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/answer",
-					strings.NewReader(`{"question":"`+q+`"}`))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				req.Header.Set("X-Session", sess)
-				resp, err := ts.Client().Do(req)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				var buf bytes.Buffer
-				_, _ = buf.ReadFrom(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("%s/%q: status %d: %s", sess, q, resp.StatusCode, buf.String())
-					return
-				}
-				if got, want := buf.String(), baseline[sess+"|"+q]; got != want {
-					mismatches.Add(1)
-					t.Errorf("%s/%q: batched body %q != unbatched %q", sess, q, got, want)
-				}
-			}
-		}(c)
+	rngs := make([]*rand.Rand, clients)
+	for c := range rngs {
+		rngs[c] = rand.New(rand.NewSource(int64(9000 + c)))
 	}
-	wg.Wait()
+	var mismatches atomic.Int64
+	ask := func(rng *rand.Rand) {
+		sess := sessions[rng.Intn(len(sessions))]
+		q := questions[rng.Intn(len(questions))]
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/answer",
+			strings.NewReader(`{"question":"`+q+`"}`))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header.Set("X-Session", sess)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s/%q: status %d: %s", sess, q, resp.StatusCode, buf.String())
+			return
+		}
+		if got, want := buf.String(), baseline[sess+"|"+q]; got != want {
+			mismatches.Add(1)
+			t.Errorf("%s/%q: batched body %q != unbatched %q", sess, q, got, want)
+		}
+	}
+	for i := 0; i < perClient; i++ {
+		release := holdDispatcher(t, batched)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				ask(rng)
+			}(rngs[c])
+		}
+		waitQueued(t, batched, clients)
+		release()
+		wg.Wait()
+	}
 	if mismatches.Load() > 0 {
 		t.Fatalf("%d batched responses differed from the unbatched baseline", mismatches.Load())
 	}
 
 	sc := scrape(t, batched)
-	if got := sc.Value("mnnfast_batch_size_sum"); got != clients*perClient {
-		t.Errorf("batch size sum = %v, want %d (every answer through one flush)", got, clients*perClient)
+	// Each round also flushed its blocker answer.
+	if got := sc.Value("mnnfast_batch_size_sum"); got != clients*perClient+perClient {
+		t.Errorf("batch size sum = %v, want %d (every answer through one flush)", got, clients*perClient+perClient)
 	}
 	if p50 := sc.Quantile("mnnfast_batch_size", "", 0.5); p50 <= 1 {
 		t.Errorf("batch size p50 = %v under %d concurrent clients, want > 1", p50, clients)
@@ -178,7 +235,7 @@ func TestBatchedEquivalence(t *testing.T) {
 // needs) and the queue full, the next answer is rejected immediately
 // with 429 and a Retry-After hint.
 func TestBatchedQueueFullSheds429(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, MaxWait: 2 * time.Millisecond, QueueDepth: 2})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, QueueDepth: 2})
 	defer s.Close()
 	h := s.Handler()
 
@@ -215,7 +272,7 @@ func TestBatchedQueueFullSheds429(t *testing.T) {
 		t.Fatalf("overflow request: %d %s, want 429", over.Code, over.Body.String())
 	}
 	if ra := over.Header().Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After = %q, want \"1\" (2ms MaxWait rounds up)", ra)
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	sess.mu.Unlock()
@@ -235,7 +292,7 @@ func TestBatchedQueueFullSheds429(t *testing.T) {
 // context ends while it waits in the queue gets 504, never occupies a
 // batch slot, and is counted in the expired counter.
 func TestBatchedDeadline504(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, MaxWait: 2 * time.Millisecond, QueueDepth: 4})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, QueueDepth: 4})
 	defer s.Close()
 	h := s.Handler()
 
@@ -300,7 +357,7 @@ func TestBatchedDeadline504(t *testing.T) {
 // TestBatchedCloseDrains exercises graceful shutdown: Close stops
 // admission (503) but queued answers still complete.
 func TestBatchedCloseDrains(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, MaxWait: 2 * time.Millisecond, QueueDepth: 4})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 1, QueueDepth: 4})
 	h := s.Handler()
 
 	body, _ := json.Marshal(StoryRequest{Sentences: []string{"john went to the garden"}})
@@ -359,7 +416,7 @@ func TestBatchedCloseDrains(t *testing.T) {
 // a story-less session through the batcher still yields 409, and a
 // question with out-of-vocabulary words still yields 422.
 func TestBatchedNoStory409(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 4, MaxWait: time.Millisecond})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 4})
 	defer s.Close()
 	h := s.Handler()
 
@@ -381,7 +438,7 @@ func TestBatchedNoStory409(t *testing.T) {
 // periodic story mutations to force cache invalidation — and runs
 // under -race in CI.
 func TestBatchedStress(t *testing.T) {
-	s := newBatchedServer(t, BatchOptions{MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 64})
+	s := newBatchedServer(t, BatchOptions{MaxBatch: 8, QueueDepth: 64})
 	defer s.Close()
 	h := s.Handler()
 
