@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTokenize -fuzztime=10s ./internal/vocab/
 	$(GO) test -run=^$$ -fuzz=FuzzKernelTiers -fuzztime=10s ./internal/tensor/
 	$(GO) test -run=^$$ -fuzz=FuzzExitPolicy -fuzztime=10s ./internal/memnn/
+	$(GO) test -run=^$$ -fuzz=FuzzLoad -fuzztime=10s ./internal/memnn/
 	$(GO) test -run=^$$ -fuzz=FuzzTopKIndex -fuzztime=10s ./internal/sparse/
 
 clean:

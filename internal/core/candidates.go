@@ -114,10 +114,11 @@ func (c *Column) InferCandidates(u tensor.Vector, cand []int32, part *Partial) S
 
 // processCandChunk is processChunk over gathered rows: inner products,
 // chunk-stabilized exponentials, and the weighted sum for the
-// candidate positions [0, len(cand)) of one chunk item. The loop
-// structure (4-row Dot4/Axpy4 blocking, chunk-local skip rule) matches
-// processChunk exactly, so an identity candidate list reproduces the
-// dense chunk bit-for-bit.
+// candidate positions [0, len(cand)) of one chunk item. Each maximal
+// run of consecutive row ids is one DotRows and one WeightedSumRows
+// call under the chunk-local skip rule; the row kernels are
+// bit-identical to one Dot or Axpy per row however the rows are split,
+// so an identity candidate list reproduces the dense chunk bit-for-bit.
 //
 //mnnfast:hotpath
 func (c *Column) processCandChunk(u tensor.Vector, cand []int32, worker int, p *Partial, logits tensor.Vector, st *Stats) {
@@ -127,15 +128,10 @@ func (c *Column) processCandChunk(u tensor.Vector, cand []int32, worker int, p *
 	n := len(cand)
 	t := logits[:n]
 
-	in := mem.In
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		t[i], t[i+1], t[i+2], t[i+3] = tensor.Dot4(u,
-			in.Row(int(cand[i])), in.Row(int(cand[i+1])),
-			in.Row(int(cand[i+2])), in.Row(int(cand[i+3])))
-	}
-	for ; i < n; i++ {
-		t[i] = tensor.Dot(u, in.Row(int(cand[i])))
+	for i := 0; i < n; {
+		j := candRunEnd(cand, i)
+		tensor.DotRows(mem.In, int(cand[i]), u, t[i:j])
+		i = j
 	}
 	if tr != nil {
 		scratchBase := int64(worker) * int64(c.opt.chunkSize()) * 4
@@ -153,39 +149,35 @@ func (c *Column) processCandChunk(u tensor.Vector, cand []int32, worker int, p *
 	st.Exps += int64(n)
 	st.TotalRows += int64(n)
 
-	th := c.opt.SkipThreshold
-	out := mem.Out
-	if th > 0 {
-		cut := th * p.Sum
-		for i := 0; i < n; i++ {
-			e := t[i]
-			if e < cut {
-				st.SkippedRows++
-				continue
-			}
-			if tr != nil {
-				memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpRead, int64(cand[i])*int64(rowBytes), rowBytes)
-			}
-			tensor.Axpy(e, out.Row(int(cand[i])), p.O)
-			st.WeightedSumMuls += int64(ed)
-		}
-		return
+	cut := c.opt.SkipThreshold * p.Sum
+	skipped := 0
+	for i := 0; i < n; {
+		j := candRunEnd(cand, i)
+		skipped += tensor.WeightedSumRows(t[i:j], mem.Out, int(cand[i]), p.O, cut)
+		i = j
 	}
-	i = 0
-	for ; i+4 <= n; i += 4 {
-		tensor.Axpy4(t[i], t[i+1], t[i+2], t[i+3],
-			out.Row(int(cand[i])), out.Row(int(cand[i+1])),
-			out.Row(int(cand[i+2])), out.Row(int(cand[i+3])), p.O)
-	}
-	for ; i < n; i++ {
-		tensor.Axpy(t[i], out.Row(int(cand[i])), p.O)
-	}
+	st.SkippedRows += int64(skipped)
+	st.WeightedSumMuls += int64(n-skipped) * int64(ed)
 	if tr != nil {
 		for i := 0; i < n; i++ {
+			if cut > 0 && t[i] < cut {
+				continue
+			}
 			memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpRead, int64(cand[i])*int64(rowBytes), rowBytes)
 		}
 	}
-	st.WeightedSumMuls += int64(n) * int64(ed)
+}
+
+// candRunEnd returns the end of the run of consecutive row ids in cand
+// that starts at position i.
+//
+//mnnfast:hotpath
+func candRunEnd(cand []int32, i int) int {
+	j := i + 1
+	for j < len(cand) && cand[j] == cand[j-1]+1 {
+		j++
+	}
+	return j
 }
 
 // TopK is the approximate top-k attention engine: an IVF probe over

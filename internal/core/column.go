@@ -33,10 +33,10 @@ import (
 // spawn-free. Per-query partials and per-worker chunk scratch come from
 // process-wide sync.Pools (scratch.go), chunk parallelism rides the
 // work-stealing scheduler over the persistent tensor.Pool workers, and
-// the dense loops use the blocked Dot4/Axpy4 kernels and the float32
-// fast-exp. The one exception is serial Streaming mode, whose
-// prefetcher is inherently a pipeline and spawns one goroutine per
-// query.
+// the dense loops use the row kernels (tensor.DotRows,
+// tensor.WeightedSumRows) and the float32 fast-exp. The one exception
+// is serial Streaming mode, whose prefetcher is inherently a pipeline
+// and spawns one goroutine per query.
 type Column struct {
 	mem *Memory
 	opt Options
@@ -144,6 +144,12 @@ func (c *Column) InferPartial(u tensor.Vector, part *Partial, lo, hi int) Stats 
 // every chunk in it; the goroutine spawn it feeds dwarfs the capture
 // allocation.
 //
+// The prefetcher only warms rows. The tracer sees its accesses from the
+// compute goroutine, in a fixed order: before chunk i computes, the
+// prefetches of every chunk up to i+depth (the most the prefetcher can
+// have finished by then) are recorded. No Toucher is shared across
+// goroutines, and the simulated trace is the same on every run.
+//
 //mnnfast:hotpath allow=closure
 func (c *Column) streamBand(u tensor.Vector, lo, hi int, s *inferScratch) {
 	depth := c.opt.PrefetchDepth
@@ -156,49 +162,56 @@ func (c *Column) streamBand(u tensor.Vector, lo, hi int, s *inferScratch) {
 	go func() {
 		defer close(ready)
 		for cLo := lo; cLo < hi; cLo += cs {
-			cHi := cLo + cs
-			if cHi > hi {
-				cHi = hi
-			}
-			c.prefetchChunk(cLo, cHi)
+			cHi := min(cLo+cs, hi)
+			c.warmChunk(cLo, cHi)
 			ready <- span{cLo, cHi}
 		}
 	}()
+	traced := lo // rows whose prefetch the tracer has seen
 	for sp := range ready {
+		if c.opt.Tracer != nil {
+			for ahead := min(sp.lo+(depth+1)*cs, hi); traced < ahead; traced += cs {
+				c.tracePrefetch(traced, min(traced+cs, hi))
+			}
+		}
 		idx := (sp.lo - lo) / cs
 		c.processChunk(u, sp.lo, sp.hi, 0, &s.chunkParts[idx], s.logits[0], &s.stats[0])
 	}
 }
 
-// prefetchChunk warms rows [lo, hi): it reads one element per cache
-// line (genuine loads the compiler cannot elide) and reports the
-// accesses to the tracer as prefetches. M_OUT is prefetched only when
+// prefetchChunk warms rows [lo, hi) and reports the accesses to the
+// tracer as prefetches: the synchronous prefetch of a parallel
+// streaming worker.
+//
+//mnnfast:hotpath
+func (c *Column) prefetchChunk(lo, hi int) {
+	c.tracePrefetch(lo, hi)
+	c.warmChunk(lo, hi)
+}
+
+// warmChunk warms rows [lo, hi): it reads one element per cache line
+// (genuine loads the compiler cannot elide). M_OUT is warmed only when
 // zero-skipping is off — with skipping enabled the weighted sum fetches
 // an output row only after its exponential passes the threshold (the
 // paper's FPGA dataflow, §4.2), so prefetching M_OUT wholesale would
 // waste the bandwidth the optimization saves.
 //
 //mnnfast:hotpath
-func (c *Column) prefetchChunk(lo, hi int) {
-	tr := c.opt.Tracer
+func (c *Column) warmChunk(lo, hi int) {
 	ed := c.mem.Dim()
-	rowBytes := ed * 4
-	prefetchOut := c.opt.SkipThreshold <= 0
 	const lineFloats = 16 // 64-byte lines of float32
 	var sink float32
 	// One sequential burst per memory stream (not interleaved per row):
 	// long same-region runs ride open DRAM rows, which is where the
 	// streamed design's bandwidth efficiency comes from.
 	for i := lo; i < hi; i++ {
-		memtrace.Touch(tr, memtrace.RegionMemIn, memtrace.OpPrefetch, int64(i)*int64(rowBytes), rowBytes)
 		in := c.mem.In.Row(i)
 		for j := 0; j < ed; j += lineFloats {
 			sink += in[j]
 		}
 	}
-	if prefetchOut {
+	if c.opt.SkipThreshold <= 0 {
 		for i := lo; i < hi; i++ {
-			memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpPrefetch, int64(i)*int64(rowBytes), rowBytes)
 			out := c.mem.Out.Row(i)
 			for j := 0; j < ed; j += lineFloats {
 				sink += out[j]
@@ -208,16 +221,36 @@ func (c *Column) prefetchChunk(lo, hi int) {
 	c.prefetchSink.Add(uint64(int64(sink)) & 1)
 }
 
+// tracePrefetch reports warmChunk's accesses for rows [lo, hi) to the
+// tracer, in warmChunk's order.
+//
+//mnnfast:hotpath
+func (c *Column) tracePrefetch(lo, hi int) {
+	tr := c.opt.Tracer
+	if tr == nil {
+		return
+	}
+	rowBytes := c.mem.Dim() * 4
+	for i := lo; i < hi; i++ {
+		memtrace.Touch(tr, memtrace.RegionMemIn, memtrace.OpPrefetch, int64(i)*int64(rowBytes), rowBytes)
+	}
+	if c.opt.SkipThreshold <= 0 {
+		for i := lo; i < hi; i++ {
+			memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpPrefetch, int64(i)*int64(rowBytes), rowBytes)
+		}
+	}
+}
+
 // processChunk computes inner products, exponentials, and the weighted
 // sum for rows [lo, hi) into the chunk's own Partial p: the shift is
 // the chunk maximum, the sum is the chunk's exponential mass, and the
 // accumulator starts from zero. The result depends only on the chunk's
 // rows — never on which worker ran it or what ran before it — which is
 // what makes the scheduler's out-of-order execution bit-deterministic
-// after the in-order merge. The dense loops are 4-row register-blocked
-// (Dot4/Axpy4) and the exponentials use the vectorized fast-exp;
-// tracer bookkeeping is hoisted behind nil checks so the untraced
-// serving path pays nothing for it.
+// after the in-order merge. The dense loops are one row-kernel call
+// each (tensor.DotRows, tensor.WeightedSumRows) and the exponentials
+// use the vectorized fast-exp; tracer bookkeeping is hoisted behind nil
+// checks so the untraced serving path pays nothing for it.
 //
 //mnnfast:hotpath
 func (c *Column) processChunk(u tensor.Vector, lo, hi, worker int, p *Partial, logits tensor.Vector, st *Stats) {
@@ -227,17 +260,8 @@ func (c *Column) processChunk(u tensor.Vector, lo, hi, worker int, p *Partial, l
 	n := hi - lo
 	t := logits[:n]
 
-	// Step 1+2 of Fig 5(b): chunk inner products, four memory rows per
-	// pass so each question element is loaded once per four rows.
-	in := mem.In
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		t[i-lo], t[i-lo+1], t[i-lo+2], t[i-lo+3] =
-			tensor.Dot4(u, in.Row(i), in.Row(i+1), in.Row(i+2), in.Row(i+3))
-	}
-	for ; i < hi; i++ {
-		t[i-lo] = tensor.Dot(u, in.Row(i))
-	}
+	// Step 1+2 of Fig 5(b): chunk inner products.
+	tensor.DotRows(mem.In, lo, u, t)
 	if tr != nil {
 		// Scratch offsets are per worker so the trace reflects genuine
 		// reuse of a small buffer rather than an ns-sized spill.
@@ -266,40 +290,18 @@ func (c *Column) processChunk(u tensor.Vector, lo, hi, worker int, p *Partial, l
 	// The chunk sum can only be smaller than the final normalizer, so
 	// every skip here would also be skipped by the exact p_i < th rule:
 	// sound, conservative, and convergent to the exact rule as the
-	// chunk's share of the mass grows.
-	th := c.opt.SkipThreshold
-	out := mem.Out
-	if th > 0 {
-		cut := th * p.Sum
-		for i := lo; i < hi; i++ {
-			e := t[i-lo]
-			if e < cut {
-				st.SkippedRows++
-				continue
-			}
-			if tr != nil {
-				memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpRead, int64(i)*int64(rowBytes), rowBytes)
-			}
-			tensor.Axpy(e, out.Row(i), p.O)
-			st.WeightedSumMuls += int64(ed)
-		}
-		return
-	}
-	// No skipping: consume four output rows per pass so each element of
-	// the accumulator is loaded and stored once per four rows.
-	i = lo
-	for ; i+4 <= hi; i += 4 {
-		k := i - lo
-		tensor.Axpy4(t[k], t[k+1], t[k+2], t[k+3],
-			out.Row(i), out.Row(i+1), out.Row(i+2), out.Row(i+3), p.O)
-	}
-	for ; i < hi; i++ {
-		tensor.Axpy(t[i-lo], out.Row(i), p.O)
-	}
+	// chunk's share of the mass grows. With skipping off the cut is not
+	// positive and no row is skipped.
+	cut := c.opt.SkipThreshold * p.Sum
+	skipped := tensor.WeightedSumRows(t, mem.Out, lo, p.O, cut)
+	st.SkippedRows += int64(skipped)
+	st.WeightedSumMuls += int64(n-skipped) * int64(ed)
 	if tr != nil {
 		for i := lo; i < hi; i++ {
+			if cut > 0 && t[i-lo] < cut {
+				continue
+			}
 			memtrace.Touch(tr, memtrace.RegionMemOut, memtrace.OpRead, int64(i)*int64(rowBytes), rowBytes)
 		}
 	}
-	st.WeightedSumMuls += int64(n) * int64(ed)
 }

@@ -79,11 +79,11 @@ func widen(m *memnn.Model, c *memnn.Corpus, rows int) {
 // acceptance criterion that concurrency ≥ 8 yields a batch-size p50
 // above 1 (requests really coalesce). Batching is work-conserving, so
 // answers coalesce only while the dispatcher is busy: the sessions hold
-// 16384-sentence stories, which makes attention, not HTTP, the
+// 32768-sentence stories, which makes attention, not HTTP, the
 // bottleneck, and a max batch of half the sessions keeps a full batch
 // queued behind every flush.
 func TestBatchedServerReport(t *testing.T) {
-	const storyLen = 16384
+	const storyLen = 32768
 	ts := testServiceWith(t, storyLen, func(s *server.Server) {
 		s.EnableBatching(server.BatchOptions{MaxBatch: 4})
 	})

@@ -12,21 +12,26 @@ import (
 // Batched inference: answer several questions in one forward pass,
 // sharing every memory-row read across the questions that attend to it.
 // This is the serving-side realization of the paper's batching argument
-// (§4.1.2): with B questions in flight, each row of M_IN/M_OUT (and
-// each row of the output projection W) is streamed from memory once per
-// batch instead of once per question, so throughput stays flat as
-// concurrency grows instead of degrading with redundant memory traffic.
+// (§4.1.2): with B questions in flight, each block of M_IN/M_OUT rows is
+// streamed from memory once per story group instead of once per
+// question, so throughput stays flat as concurrency grows instead of
+// degrading with redundant memory traffic.
 //
 // Bit-exactness contract: the batched pass performs exactly the same
 // float32 operations in exactly the same order per question as the
-// single-question path (applyInto with a cached EmbeddedStory) — the
-// same tensor.Dot per attention logit, the same tensor.Softmax, the
-// same ascending-row tensor.Axpy accumulation, the same output
-// projection. Only the loop nesting changes (rows outer, questions
-// inner), which affects locality, not results. The equivalence property
-// test in batch_test.go pins this down to the bit level; any kernel
-// change that breaks it (e.g. swapping the per-question Dot for the
-// differently-associated Dot4) is a behavior change, not a refactor.
+// single-question path (applyInto with a cached EmbeddedStory). Both
+// run the exact hop through attendExact, whose row kernels
+// (tensor.DotRows, tensor.WeightedSumRows) are bit-identical on every
+// tier to one tensor.Dot per attention logit and one tensor.Axpy per
+// surviving row in ascending order. A group of one question calls each
+// kernel once over all rows; a larger group calls them per question per
+// L1-sized row block, in ascending block order — which changes which
+// rows are cache-resident, never an operation or its order. Softmax,
+// state update and output projection are per-question calls shared
+// with the single path. The equivalence tests in batch_test.go and
+// internal/equivtest pin this to the bit; any kernel change that
+// breaks it (e.g. swapping Dot for the differently-associated Dot4) is
+// a behavior change, not a refactor.
 
 // BatchForward holds the per-question forward state and the grouping
 // scratch of one batched predict. Buffers are reshaped grow-only and
@@ -66,8 +71,14 @@ type BatchForward struct {
 	wrows   []int64 // per-worker considered-row counters
 	wprobed []int64 // per-worker topk probed-row counters
 	wcand   []int64 // per-worker topk surviving-candidate counters
+	wgroup  []groupVecs
 	gfn     func(worker, lo, hi int)
 }
+
+// groupVecs is one worker's gather of a story group's per-question
+// U/P/O vectors for attendExact; the headers alias the questions'
+// Forward buffers.
+type groupVecs struct{ u, p, o []tensor.Vector }
 
 // runGroup executes story group g's attention for the current hop as
 // worker slot w: logits, softmax, and the zero-skipping weighted sum
@@ -91,8 +102,8 @@ func (bf *BatchForward) runGroup(g, w int) {
 		// the unbatched topk hop (probe, candidate top-k softmax,
 		// ascending M_OUT gather) in the same serial order, so batched
 		// and unbatched topk answers are bit-identical by construction.
-		// Rows-outer sharing is the exact path's trick; the probe
-		// already cuts the row traffic it exists to amortize.
+		// Block sharing is the exact path's trick; the probe already
+		// cuts the row traffic it exists to amortize.
 		scr := sparse.GetProbeScratch()
 		var skipped, probed, kept int64
 		for _, q := range group {
@@ -114,49 +125,18 @@ func (bf *BatchForward) runGroup(g, w int) {
 		return
 	}
 
-	// Attention logits: rows outer, questions inner — each memory row
-	// is read once for the whole group. Per question this is exactly
-	// MatVec's serial loop (one tensor.Dot per row), so the logits are
-	// bit-identical to the single path.
-	for _, q := range group {
+	// Exact attention: the group's U/P/O headers are gathered into this
+	// worker's scratch and attendExact walks the shared memories block
+	// by block, reading each block once for the whole group.
+	gs := &bf.wgroup[w]
+	gs.u, gs.p, gs.o = gs.u[:len(group)], gs.p[:len(group)], gs.o[:len(group)]
+	for i, q := range group {
 		f := &bf.fs[q]
 		f.P[k] = growVec(f.P[k], ns)
-	}
-	for r := 0; r < ns; r++ {
-		row := in.Row(r)
-		for _, q := range group {
-			bf.fs[q].P[k][r] = tensor.Dot(row, bf.fs[q].U[k])
-		}
-	}
-	for _, q := range group {
-		if !m.LinearAttention {
-			tensor.Softmax(bf.fs[q].P[k])
-		}
-	}
-
-	// Weighted sum with zero-skipping, rows outer again: each M_OUT row
-	// is read once and accumulated into every question of the group that
-	// does not skip it, in the same ascending-row Axpy order as the
-	// single path.
-	for _, q := range group {
-		f := &bf.fs[q]
 		f.O[k] = growVec(f.O[k], d)
-		f.O[k].Zero()
+		gs.u[i], gs.p[i], gs.o[i] = f.U[k], f.P[k], f.O[k]
 	}
-	skipped := int64(0)
-	for r := 0; r < ns; r++ {
-		outRow := outMem.Row(r)
-		for _, q := range group {
-			f := &bf.fs[q]
-			p := f.P[k][r]
-			if bf.skip > 0 && p < bf.skip {
-				skipped++
-				continue
-			}
-			tensor.Axpy(p, outRow, f.O[k])
-		}
-	}
-	bf.wskip[w] += skipped
+	bf.wskip[w] += int64(m.attendExact(in, outMem, gs.u, gs.p, gs.o, bf.skip))
 	bf.wrows[w] += int64(ns) * int64(len(group))
 }
 
@@ -202,6 +182,17 @@ func (bf *BatchForward) ensure(n, w int) {
 	bf.wrows = bf.wrows[:w]
 	bf.wprobed = bf.wprobed[:w]
 	bf.wcand = bf.wcand[:w]
+	if cap(bf.wgroup) < w {
+		bf.wgroup = make([]groupVecs, w)
+	}
+	bf.wgroup = bf.wgroup[:w]
+	for i := range bf.wgroup {
+		if gs := &bf.wgroup[i]; cap(gs.u) < n {
+			gs.u = make([]tensor.Vector, n)
+			gs.p = make([]tensor.Vector, n)
+			gs.o = make([]tensor.Vector, n)
+		}
+	}
 	for i := 0; i < w; i++ {
 		bf.wskip[i], bf.wrows[i] = 0, 0
 		bf.wprobed[i], bf.wcand[i] = 0, 0
@@ -335,27 +326,16 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 		m.sch.RunEvents(ev, he, 0, len(bf.groups), 1, bf.gfn)
 
 		// State update u' = u + o (adjacent) or u' = H·u + o
-		// (layer-wise). H is model-global, so its rows are shared
-		// across the still-live questions, not just within a story
-		// group.
+		// (layer-wise), per question exactly as the single path does it.
 		for _, q := range live {
 			f := &bf.fs[q]
 			f.U[k+1] = growVec(f.U[k+1], d)
-		}
-		if m.Cfg.Tying == TyingLayerwise {
-			for r := 0; r < d; r++ {
-				hrow := m.H.Row(r)
-				for _, q := range live {
-					bf.fs[q].U[k+1][r] = tensor.Dot(hrow, bf.fs[q].U[k])
-				}
+			if m.Cfg.Tying == TyingLayerwise {
+				tensor.MatVec(nil, m.H, f.U[k], f.U[k+1])
+			} else {
+				copy(f.U[k+1], f.U[k])
 			}
-		} else {
-			for _, q := range live {
-				copy(bf.fs[q].U[k+1], bf.fs[q].U[k])
-			}
-		}
-		for _, q := range live {
-			bf.fs[q].U[k+1].AddInPlace(bf.fs[q].O[k])
+			f.U[k+1].AddInPlace(f.O[k])
 		}
 		ev.Annotate(he, "hop", int64(k))
 		ev.Annotate(he, "skipped", sumInt64(bf.wskip)-skip0)
@@ -371,9 +351,9 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 
 		// Confidence gate: score every live, uncommitted question and
 		// shed the ones that clear the threshold — their answer is the
-		// gate's W·u projection (one tensor.Dot per answer row, the
-		// exact operation of the final projection, so shed answers are
-		// bit-identical to the same query exiting unbatched). The
+		// gate's W·u projection (the final projection's MatVec, so shed
+		// answers are bit-identical to the same query exiting
+		// unbatched). The
 		// remaining hops then run on story groups rebuilt from the
 		// shrunken live set.
 		if h := k + 1; gate && h >= minH && h < hops {
@@ -413,20 +393,14 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 	}
 	bf.m, bf.stories = nil, nil // do not pin caller data between batches
 
-	// Output projection: W is model-global too — each of its rows is
-	// read once for the whole batch, the largest cross-session saving.
-	// Only the questions that ran all hops are projected here; shed
-	// questions already hold their exit logits from the gate.
+	// Output projection, per question as in the single path. Only the
+	// questions that ran all hops are projected here; shed questions
+	// already hold their exit logits from the gate.
 	oe := ev.Begin("output", -1)
 	for _, q := range live {
 		f := &bf.fs[q]
 		f.Logits = growVec(f.Logits, m.Cfg.Answers)
-	}
-	for r := 0; r < m.Cfg.Answers; r++ {
-		wrow := m.W.Row(r)
-		for _, q := range live {
-			bf.fs[q].Logits[r] = tensor.Dot(wrow, bf.fs[q].U[hops])
-		}
+		tensor.MatVec(nil, m.W, f.U[hops], f.Logits)
 	}
 	ev.End(oe)
 	if ins != nil {
@@ -444,12 +418,9 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 // the question to the full path instead (no further gate projections).
 // Returns the number of questions shed.
 //
-// Bit-exactness: the exit logits are computed rows-outer so each W row
-// is read once for the whole candidate set, but per question that is
-// one tensor.Dot per answer row in ascending order — exactly the
-// serial MatVec of the unbatched gate (gateConfidence), so a question
-// shed at hop h in a batch answers bit-identically to the same
-// question exiting at hop h unbatched.
+// Bit-exactness: the exit logits are the serial MatVec of the unbatched
+// gate (gateConfidence), so a question shed at hop h in a batch answers
+// bit-identically to the same question exiting at hop h unbatched.
 //
 //mnnfast:hotpath
 func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int) int {
@@ -461,15 +432,7 @@ func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int
 			}
 			f := &bf.fs[q]
 			f.Logits = growVec(f.Logits, answers)
-		}
-		for r := 0; r < answers; r++ {
-			wrow := m.W.Row(r)
-			for _, q := range live {
-				if bf.full[q] {
-					continue
-				}
-				bf.fs[q].Logits[r] = tensor.Dot(wrow, bf.fs[q].U[h])
-			}
+			tensor.MatVec(nil, m.W, f.U[h], f.Logits)
 		}
 	}
 	fb := policy.fallback()

@@ -300,3 +300,141 @@ func TestPredictBatchParallelAllocs(t *testing.T) {
 		t.Errorf("parallel batched predict allocates %v per batch, want 0", allocs)
 	}
 }
+
+// blockCase builds a batch whose stories span several attendExact row
+// blocks (256 rows at Dim 24): five questions on a 700-sentence story,
+// two on a 300-sentence one, and one alone on a third.
+func blockCase(t *testing.T, rng *rand.Rand, tying Tying, th float32) batchCase {
+	t.Helper()
+	cfg := Config{Dim: 24, Hops: 2, Vocab: 30, Answers: 6, MaxSent: 700, Tying: tying}
+	model, err := NewModel(cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := batchCase{model: model, th: th}
+	for _, st := range []struct{ ns, questions int }{{700, 5}, {300, 2}, {513, 1}} {
+		sentences := make([][]int, st.ns)
+		for j := range sentences {
+			sentences[j] = randWords(rng, cfg.Vocab, 6)
+		}
+		es := new(EmbeddedStory)
+		model.EmbedStoryInto(Example{Sentences: sentences}, es)
+		for q := 0; q < st.questions; q++ {
+			c.exs = append(c.exs, Example{Sentences: sentences, Question: randWords(rng, cfg.Vocab, 5)})
+			c.stories = append(c.stories, es)
+		}
+	}
+	return c
+}
+
+// TestPredictBatchBlockwiseEquivalence extends the batching property to
+// stories longer than one row block, where a story group's exact hop
+// walks the memory block by block: logits and skip counts must equal
+// the single-question path's, bit for bit.
+func TestPredictBatchBlockwiseEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, tying := range []Tying{TyingAdjacent, TyingLayerwise} {
+		for _, th := range []float32{0, 1e-3, 0.01} {
+			c := blockCase(t, rng, tying, th)
+			var bf BatchForward
+			var ins, want Instrumentation
+			out := make([]int, len(c.exs))
+			c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
+			var f Forward
+			for q := range c.exs {
+				single := c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], &want)
+				for i, w := range single.Logits {
+					if got := bf.Logits(q)[i]; math.Float32bits(got) != math.Float32bits(w) {
+						t.Fatalf("%s th=%v q %d: logit %d = %x, single path %x", tying, th, q, i,
+							math.Float32bits(got), math.Float32bits(w))
+					}
+				}
+			}
+			if ins.SkippedRows != want.SkippedRows || ins.TotalRows != want.TotalRows {
+				t.Errorf("%s th=%v: batch skipped/total %d/%d, single path %d/%d", tying, th,
+					ins.SkippedRows, ins.TotalRows, want.SkippedRows, want.TotalRows)
+			}
+			if th == 1e-3 && want.SkippedRows == 0 {
+				t.Errorf("%s th=%v: no row skipped; the skip branch went unexercised", tying, th)
+			}
+		}
+	}
+}
+
+// TestAttendExactMatchesPerRowLoops pins attendExact, alone and for a
+// group spanning several row blocks, to the loops it replaced: one
+// tensor.Dot per attention logit, Softmax, and one tensor.Axpy per
+// surviving row in ascending order.
+func TestAttendExactMatchesPerRowLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const ns, d, nq = 600, 24, 3
+	m := &Model{Cfg: Config{Dim: d}}
+	in := tensor.GaussianMatrix(rng, ns, d, 0.3)
+	out := tensor.GaussianMatrix(rng, ns, d, 0.3)
+	for _, skip := range []float32{0, 2e-3} {
+		us := make([]tensor.Vector, nq)
+		ps := make([]tensor.Vector, nq)
+		os := make([]tensor.Vector, nq)
+		for q := range us {
+			us[q] = tensor.RandomVector(rng, d, 1)
+			ps[q] = tensor.NewVector(ns)
+			os[q] = tensor.NewVector(d)
+		}
+		skippedGroup := m.attendExact(in, out, us, ps, os, skip)
+		skippedRef := 0
+		for q := range us {
+			p, o := tensor.NewVector(ns), tensor.NewVector(d)
+			for i := 0; i < ns; i++ {
+				p[i] = tensor.Dot(in.Row(i), us[q])
+			}
+			tensor.Softmax(p)
+			for i := 0; i < ns; i++ {
+				if skip > 0 && p[i] < skip {
+					skippedRef++
+					continue
+				}
+				tensor.Axpy(p[i], out.Row(i), o)
+			}
+			p1, o1 := tensor.NewVector(ns), tensor.NewVector(d)
+			m.attendExact(in, out, us[q:q+1], []tensor.Vector{p1}, []tensor.Vector{o1}, skip)
+			for name, pair := range map[string][2]tensor.Vector{
+				"group p": {ps[q], p}, "group o": {os[q], o}, "single p": {p1, p}, "single o": {o1, o},
+			} {
+				for i := range pair[1] {
+					if math.Float32bits(pair[0][i]) != math.Float32bits(pair[1][i]) {
+						t.Fatalf("skip=%v q %d %s[%d] = %x, per-row loop %x", skip, q, name, i,
+							math.Float32bits(pair[0][i]), math.Float32bits(pair[1][i]))
+					}
+				}
+			}
+		}
+		if skippedGroup != skippedRef {
+			t.Errorf("skip=%v: attendExact skipped %d, per-row loop %d", skip, skippedGroup, skippedRef)
+		}
+	}
+}
+
+// TestExactHopAllocs: the exact hop — one question alone, and a story
+// group walking several row blocks — allocates nothing at steady state.
+func TestExactHopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(17))
+	c := blockCase(t, rng, TyingAdjacent, 1e-3)
+	var f Forward
+	c.model.ApplyInstrumented(c.exs[0], c.th, &f, c.stories[0], nil) // warm buffers
+	if allocs := testing.AllocsPerRun(20, func() {
+		c.model.ApplyInstrumented(c.exs[0], c.th, &f, c.stories[0], nil)
+	}); allocs != 0 {
+		t.Errorf("single exact pass allocates %v, want 0", allocs)
+	}
+	var bf BatchForward
+	out := make([]int, len(c.exs))
+	c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out) // warm buffers
+	if allocs := testing.AllocsPerRun(20, func() {
+		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+	}); allocs != 0 {
+		t.Errorf("block-wise batched pass allocates %v, want 0", allocs)
+	}
+}

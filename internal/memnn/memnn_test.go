@@ -9,7 +9,7 @@ import (
 	"mnnfast/internal/tensor"
 )
 
-func smallCorpus(t *testing.T, task babi.Task, stories, storyLen int, seed int64) *Corpus {
+func smallCorpus(t testing.TB, task babi.Task, stories, storyLen int, seed int64) *Corpus {
 	t.Helper()
 	opt := babi.GenOptions{Stories: stories, StoryLen: storyLen, People: 3, Locations: 3}
 	d := babi.Generate(task, opt, rand.New(rand.NewSource(seed)))
@@ -17,7 +17,7 @@ func smallCorpus(t *testing.T, task babi.Task, stories, storyLen int, seed int64
 	return BuildCorpus(train, test, 0)
 }
 
-func newTestModel(t *testing.T, c *Corpus, hops int, seed int64) *Model {
+func newTestModel(t testing.TB, c *Corpus, hops int, seed int64) *Model {
 	t.Helper()
 	m, err := NewModel(Config{
 		Dim:     16,

@@ -398,25 +398,10 @@ func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *Emb
 				ins.CandRows += int64(ast.Kept)
 			}
 		} else {
-			// Input memory representation: p = softmax(u · M_INᵀ), or
-			// the raw inner products during linear-start training.
-			p := growVec(f.P[k], ns)
-			f.P[k] = p
-			tensor.MatVec(nil, in, f.U[k], p)
-			if !m.LinearAttention {
-				tensor.Softmax(p)
-			}
-
-			// Output memory representation: o = Σ pᵢ m_iᴼᵁᵀ, optionally
-			// skipping near-zero attention rows.
-			o.Zero()
-			for i := 0; i < ns; i++ {
-				if skipThreshold > 0 && p[i] < skipThreshold {
-					skipped++
-					continue
-				}
-				tensor.Axpy(p[i], out.Row(i), o)
-			}
+			// Exact attention over every row: p = softmax(u·M_INᵀ),
+			// o = Σ pᵢ·m_iᴼᵁᵀ with zero-skipping.
+			f.P[k] = growVec(f.P[k], ns)
+			skipped = m.attendExact(in, out, f.U[k:k+1], f.P[k:k+1], f.O[k:k+1], skipThreshold)
 		}
 
 		// Output calculation input: u' = u + o (adjacent) or
@@ -486,6 +471,58 @@ func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *Emb
 		lap(&mark, &ins.OutputNS)
 	}
 	return f
+}
+
+// exactBlockBytes sizes the row blocks of a multi-question exact hop:
+// one block of M_IN or M_OUT rows (256 rows at Dim 24) stays in L1
+// while every question of the group streams it.
+const exactBlockBytes = 24 << 10
+
+// attendExact is the exact attention of one hop for questions that
+// share the memories in and out. For each question q it computes the
+// input memory representation ps[q] = softmax(us[q]·M_INᵀ) — the raw
+// inner products during linear-start training — and the output memory
+// representation os[q] = Σᵢ ps[q][i]·m_iᴼᵁᵀ, skipping rows whose weight
+// is below skip (zero-skipping, Algorithm 1). It returns the number of
+// rows skipped over all questions. ps[q] must have length in.Rows and
+// os[q] length Dim.
+//
+// One question costs two row-kernel calls over every row. A larger
+// group walks the memory in blocks of exactBlockBytes and calls the
+// kernels per question per block, so each block is read from memory
+// once for the whole group (the batching argument of §4.1.2) while
+// every question still sees its rows in ascending order. The row
+// kernels are bit-identical to one Dot or Axpy per row, and splitting
+// their row range changes no operation, so the result is the same bits
+// at any group size.
+//
+//mnnfast:hotpath
+func (m *Model) attendExact(in, out *tensor.Matrix, us, ps, os []tensor.Vector, skip float32) int {
+	ns := in.Rows
+	block := ns
+	if len(us) > 1 {
+		block = max(1, exactBlockBytes/(4*in.Cols))
+	}
+	for lo := 0; lo < ns; lo += block {
+		hi := min(lo+block, ns)
+		for q, u := range us {
+			tensor.DotRows(in, lo, u, ps[q][lo:hi])
+		}
+	}
+	for q, p := range ps {
+		if !m.LinearAttention {
+			tensor.Softmax(p)
+		}
+		os[q].Zero()
+	}
+	skipped := 0
+	for lo := 0; lo < ns; lo += block {
+		hi := min(lo+block, ns)
+		for q, p := range ps {
+			skipped += tensor.WeightedSumRows(p[lo:hi], out, lo, os[q], skip)
+		}
+	}
+	return skipped
 }
 
 // Predict returns the argmax answer class for the example.

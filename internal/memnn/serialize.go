@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"mnnfast/internal/tensor"
 	"mnnfast/internal/vocab"
@@ -79,6 +80,11 @@ func Load(r io.Reader) (*Model, *Corpus, error) {
 // Predict.
 func (s *snapshot) check() error {
 	c := s.Cfg
+	if c.Hops > maxSnapshotHops {
+		// Layer-wise tying stores no per-hop tables, so nothing else in
+		// the file bounds the hop count a forward pass would allocate.
+		return fmt.Errorf("%d hops, more than %d", c.Hops, maxSnapshotHops)
+	}
 	wantEmb, wantTime := c.Hops+1, c.Hops
 	if c.Tying == TyingLayerwise {
 		wantEmb, wantTime = 2, 1
@@ -122,11 +128,19 @@ func (s *snapshot) check() error {
 	return nil
 }
 
-// checkShape reports whether m is a rows×cols matrix whose data fills it.
+// maxSnapshotHops bounds the hop count Load accepts: far above any
+// trained memory network (the paper's models use 3).
+const maxSnapshotHops = 1 << 10
+
+// checkShape reports whether m is a rows×cols matrix whose data fills
+// it. cols is a validated dimension (≥ 1); a rows×cols product that
+// overflows int is rejected rather than wrapped into a small length.
 func checkShape(m *tensor.Matrix, rows, cols int) error {
 	switch {
 	case m == nil:
 		return errors.New("missing")
+	case rows > math.MaxInt/cols:
+		return fmt.Errorf("%d×%d overflows", rows, cols)
 	case m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols:
 		return fmt.Errorf("%d×%d with %d values, want %d×%d", m.Rows, m.Cols, len(m.Data), rows, cols)
 	}

@@ -3,6 +3,7 @@ package memnn
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -76,20 +77,25 @@ func TestLoadGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsBadShapes corrupts one part of an otherwise valid
-// snapshot at a time — a truncated or reshaped matrix, a missing
-// table, a vocabulary or answer inventory that disagrees with Cfg — and
-// expects Load to fail instead of returning a model that panics in
-// Predict.
-func TestLoadRejectsBadShapes(t *testing.T) {
-	c := smallCorpus(t, babi.TaskSingleFact, 20, 6, 41)
-	adjacent := newTestModel(t, c, 2, 41)
+// shapeCorruption is one corrupted snapshot of TestLoadRejectsBadShapes.
+type shapeCorruption struct {
+	name string
+	snap snapshot
+}
+
+// shapeSnapshots returns valid adjacent- and layer-wise-tied snapshots
+// of two small models, and corruptions of one part of them at a time —
+// a truncated or reshaped matrix, a missing table, a vocabulary or
+// answer inventory that disagrees with Cfg.
+func shapeSnapshots(tb testing.TB) (valid []snapshot, bad []shapeCorruption) {
+	c := smallCorpus(tb, babi.TaskSingleFact, 20, 6, 41)
+	adjacent := newTestModel(tb, c, 2, 41)
 	layerwise, err := NewModel(Config{
 		Dim: 16, Hops: 2, Vocab: c.Vocab.Size(), Answers: len(c.Answers),
 		MaxSent: c.MaxSent, Tying: TyingLayerwise,
 	}, rand.New(rand.NewSource(41)))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	snap := func(m *Model) snapshot {
 		return snapshot{
@@ -102,14 +108,6 @@ func TestLoadRejectsBadShapes(t *testing.T) {
 			MaxSent: c.MaxSent,
 		}
 	}
-	load := func(s snapshot) error {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err := Load(&buf)
-		return err
-	}
 	half := func(m *tensor.Matrix) *tensor.Matrix {
 		return &tensor.Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data[:len(m.Data)/2]}
 	}
@@ -118,11 +116,6 @@ func TestLoadRejectsBadShapes(t *testing.T) {
 	}
 	d, v, a, ns := adjacent.Cfg.Dim, adjacent.Cfg.Vocab, adjacent.Cfg.Answers, adjacent.Cfg.MaxSent
 
-	for _, m := range []*Model{adjacent, layerwise} {
-		if err := load(snap(m)); err != nil {
-			t.Fatalf("valid %s-tied snapshot: %v", m.Cfg.Tying, err)
-		}
-	}
 	cases := []struct {
 		name    string
 		model   *Model
@@ -151,14 +144,95 @@ func TestLoadRejectsBadShapes(t *testing.T) {
 		{"duplicate word", adjacent, func(s *snapshot) { s.Words[len(s.Words)-1] = s.Words[1] }},
 		{"missing answer", adjacent, func(s *snapshot) { s.Answers = s.Answers[:len(s.Answers)-1] }},
 		{"corpus MaxSent over capacity", adjacent, func(s *snapshot) { s.MaxSent = ns + 1 }},
+		{"layer-wise hop count", layerwise, func(s *snapshot) { s.Cfg.Hops = 1 << 40 }},
 	}
 	for _, tc := range cases {
 		s := snap(tc.model)
 		tc.corrupt(&s)
-		if err := load(s); err == nil {
+		bad = append(bad, shapeCorruption{tc.name, s})
+	}
+	return []snapshot{snap(adjacent), snap(layerwise)}, bad
+}
+
+// encodeSnapshot gob-encodes s as Save would.
+func encodeSnapshot(tb testing.TB, s snapshot) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsBadShapes loads each corruption of shapeSnapshots and
+// expects Load to fail instead of returning a model that panics in
+// Predict.
+func TestLoadRejectsBadShapes(t *testing.T) {
+	valid, bad := shapeSnapshots(t)
+	for _, s := range valid {
+		if _, _, err := Load(bytes.NewReader(encodeSnapshot(t, s))); err != nil {
+			t.Fatalf("valid %s-tied snapshot: %v", s.Cfg.Tying, err)
+		}
+	}
+	for _, tc := range bad {
+		if _, _, err := Load(bytes.NewReader(encodeSnapshot(t, tc.snap))); err == nil {
 			t.Errorf("%s: Load succeeded, want an error", tc.name)
 		} else if !strings.Contains(err.Error(), "corrupt snapshot") {
 			t.Errorf("%s: error %q does not name a corrupt snapshot", tc.name, err)
 		}
 	}
+}
+
+// TestCheckShapeOverflow pins the overflow guard: a rows×cols claim
+// whose int product wraps to a small length must not pass as a matrix
+// of that length.
+func TestCheckShapeOverflow(t *testing.T) {
+	const rows = 18
+	var span uint64 = math.MaxUint64
+	cols := int(span/rows + 1)
+	n := rows * cols // wraps past 2⁶⁴ to a small positive length
+	if n <= 0 || n > 64 {
+		t.Fatalf("test premise: %d×%d wraps to %d", rows, cols, n)
+	}
+	m := &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float32, n)}
+	if err := checkShape(m, rows, cols); err == nil {
+		t.Fatalf("checkShape accepted %d×%d backed by %d values", rows, cols, n)
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load, seeded with a small Saved
+// model and every TestLoadRejectsBadShapes corruption. Load must either
+// return an error or a model that answers a corpus example without
+// panicking.
+func FuzzLoad(f *testing.F) {
+	c := smallCorpus(f, babi.TaskSingleFact, 20, 6, 43)
+	m := newTestModel(f, c, 2, 43)
+	var buf bytes.Buffer
+	if err := Save(&buf, m, c); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	valid, bad := shapeSnapshots(f)
+	for _, s := range valid {
+		f.Add(encodeSnapshot(f, s))
+	}
+	for _, tc := range bad {
+		f.Add(encodeSnapshot(f, tc.snap))
+	}
+	story := babi.Generate(babi.TaskSingleFact, babi.GenOptions{Stories: 1, StoryLen: 6, People: 3, Locations: 3},
+		rand.New(rand.NewSource(43))).Stories[0]
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, c, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		ex, err := c.VectorizeStory(story)
+		if err != nil {
+			// A mutated vocabulary no longer spells the story: ask with
+			// the last word ID, which the model's shapes must cover.
+			w := m.Cfg.Vocab - 1
+			ex = Example{Question: []int{w}, Sentences: [][]int{{w}, {w, w}}[:min(2, c.MaxSent)]}
+		}
+		m.Predict(ex)
+	})
 }

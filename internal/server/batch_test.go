@@ -17,15 +17,10 @@ import (
 	"mnnfast/internal/obs"
 )
 
-// newBatchedServer wraps the shared trained model in a fresh Server
-// (sessions and metrics isolated per test) with batching enabled.
+// newBatchedServer returns a fresh test Server with batching enabled.
 func newBatchedServer(t testing.TB, opt BatchOptions) *Server {
 	t.Helper()
-	base := testServer(t)
-	s, err := New(base.model, base.corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := testServer(t)
 	s.EnableBatching(opt)
 	return s
 }

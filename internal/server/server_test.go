@@ -14,18 +14,20 @@ import (
 	"mnnfast/internal/memnn"
 )
 
-// trainedServer builds a server around a quickly trained single-fact
-// model. Shared across tests via sync.Once because training costs a
-// couple of seconds.
+// testServer returns a fresh Server — its own sessions and metrics, so
+// every test, and every rerun under -count, starts clean — around a
+// quickly trained single-fact model. The model is shared across tests
+// via sync.Once because training costs a couple of seconds.
 var (
-	srvOnce sync.Once
-	srv     *Server
-	srvAcc  float64
+	modelOnce sync.Once
+	srvModel  *memnn.Model
+	srvCorpus *memnn.Corpus
+	srvAcc    float64
 )
 
 func testServer(t testing.TB) *Server {
 	t.Helper()
-	srvOnce.Do(func() {
+	modelOnce.Do(func() {
 		opt := babi.GenOptions{Stories: 300, StoryLen: 8, People: 3, Locations: 3}
 		d := babi.Generate(babi.TaskSingleFact, opt, rand.New(rand.NewSource(5)))
 		train, test := d.Split(0.85)
@@ -44,13 +46,14 @@ func testServer(t testing.TB) *Server {
 		if _, err := model.Train(corpus.Train, topt); err != nil {
 			panic(err)
 		}
+		srvModel, srvCorpus = model, corpus
 		srvAcc = model.Accuracy(corpus.Test, 0)
-		srv, err = New(model, corpus)
-		if err != nil {
-			panic(err)
-		}
 	})
-	return srv
+	s, err := New(srvModel, srvCorpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func post(t *testing.T, ts *httptest.Server, path, session string, body any) (*http.Response, []byte) {

@@ -7,8 +7,9 @@ import (
 
 // Kernel dispatch.
 //
-// The hot inner loops — Dot, Axpy, Scale, AddInPlace, ExpInto — exist
-// in up to three tiers:
+// The hot inner loops — Dot, Axpy, Scale, AddInPlace, ExpInto, and
+// the row-loop kernels DotRows and WeightedSumRows — exist in up to
+// three tiers:
 //
 //	scalar  one-loop reference twins (kernels_scalar.go); float64
 //	        math.Exp for the exponential. Ground truth, never fast.
@@ -32,6 +33,12 @@ import (
 // matches the Go kernels; Scale, AddInPlace, Axpy, and ExpInto are
 // bit-identical between the go and avx2 tiers, while Dot may differ
 // within the documented reassociation tolerance (8 lanes instead of 4).
+//
+// The row-loop kernels carry a stronger, per-tier contract: on every
+// tier, DotRows is bit-identical to calling that tier's Dot once per
+// row, and WeightedSumRows is bit-identical to that tier's Axpy once
+// per surviving row in ascending row order. Swapping a per-row loop
+// for one row-kernel call therefore never changes a result bit.
 
 // Tier names, in increasing speed order.
 const (
@@ -49,6 +56,11 @@ type kernelTable struct {
 	scale   func(v Vector, a float32)
 	add     func(v, w Vector)
 	expInto func(dst, src Vector, shift float32) float32
+
+	// Row-loop kernels over a row-major block a of len(y) (dotRows) or
+	// len(p) (wsumRows) rows; see DotRows and WeightedSumRows.
+	dotRows  func(a []float32, x, y Vector)
+	wsumRows func(p Vector, a []float32, y Vector, skip float32) int
 }
 
 // kernelTiers holds every tier available on this build/host.
@@ -59,18 +71,22 @@ var kernelTiers = buildKernelTiers()
 func buildKernelTiers() map[string]kernelTable {
 	tiers := map[string]kernelTable{
 		TierScalar: {
-			dot:     DotScalar,
-			axpy:    AxpyScalar,
-			scale:   ScaleScalar,
-			add:     AddScalar,
-			expInto: ExpIntoScalar,
+			dot:      DotScalar,
+			axpy:     AxpyScalar,
+			scale:    ScaleScalar,
+			add:      AddScalar,
+			expInto:  ExpIntoScalar,
+			dotRows:  DotRowsScalar,
+			wsumRows: WeightedSumRowsScalar,
 		},
 		TierGo: {
-			dot:     dotGo,
-			axpy:    axpyGo,
-			scale:   scaleGo,
-			add:     addGo,
-			expInto: expIntoGo,
+			dot:      dotGo,
+			axpy:     axpyGo,
+			scale:    scaleGo,
+			add:      addGo,
+			expInto:  expIntoGo,
+			dotRows:  dotRowsGo,
+			wsumRows: wsumRowsGo,
 		},
 	}
 	for name, tab := range archTiers() {
@@ -83,12 +99,14 @@ func buildKernelTiers() map[string]kernelTable {
 // Reads on the hot path are plain loads; SetKernelTier is startup/test
 // only (see package comment above).
 var (
-	activeTier  string
-	dotImpl     func(a, b Vector) float32
-	axpyImpl    func(a float32, x, y Vector)
-	scaleImpl   func(v Vector, a float32)
-	addImpl     func(v, w Vector)
-	expIntoImpl func(dst, src Vector, shift float32) float32
+	activeTier   string
+	dotImpl      func(a, b Vector) float32
+	axpyImpl     func(a float32, x, y Vector)
+	scaleImpl    func(v Vector, a float32)
+	addImpl      func(v, w Vector)
+	expIntoImpl  func(dst, src Vector, shift float32) float32
+	dotRowsImpl  func(a []float32, x, y Vector)
+	wsumRowsImpl func(p Vector, a []float32, y Vector, skip float32) int
 )
 
 func init() {
@@ -137,5 +155,7 @@ func SetKernelTier(name string) error {
 	scaleImpl = tab.scale
 	addImpl = tab.add
 	expIntoImpl = tab.expInto
+	dotRowsImpl = tab.dotRows
+	wsumRowsImpl = tab.wsumRows
 	return nil
 }

@@ -341,11 +341,24 @@ func diffKernelTiers(t *testing.T, aRaw, bRaw []byte, alpha float32, offRaw uint
 			}
 		}
 	}
+
+	// Row kernels: a as a row-major block of 1..130 columns, x and the
+	// start of y from b, b's head as the weights and alpha as the skip
+	// threshold — raw bits, so ±0, NaN and ±Inf weights and thresholds
+	// all occur. Every tier must match its own per-row loops bit for bit.
+	cols := 1 + int(offRaw)%130
+	rows := n / cols
+	x := NewVector(cols)
+	copy(x, b)
+	for _, tier := range KernelTiers() {
+		checkRowKernels(t, tier, a[:rows*cols], x, b[:rows], x, alpha)
+	}
 }
 
 // FuzzKernelTiers differentially fuzzes every registered kernel tier
 // (avx2 vs unrolled go vs scalar) over raw float bit patterns, lengths
-// 0..256, and misaligned base offsets. Seed corpus lives in
+// 0..256, and misaligned base offsets, and each tier's row kernels
+// against its own per-row loops. Seed corpus lives in
 // testdata/fuzz/FuzzKernelTiers.
 func FuzzKernelTiers(f *testing.F) {
 	f.Fuzz(diffKernelTiers)

@@ -13,9 +13,7 @@ func MatVec(p *Pool, a *Matrix, x, y Vector) {
 	if p.Workers() == 1 || a.Rows < 2*64 {
 		// Serial path stays free of pool traffic: small matrices and
 		// serial pools never touch the dispatch-state pool.
-		for i := 0; i < a.Rows; i++ {
-			y[i] = Dot(a.Row(i), x)
-		}
+		dotRowsImpl(a.Data[:a.Rows*a.Cols], x, y)
 		return
 	}
 	s := getMatVecState(a, x, y)
@@ -47,9 +45,66 @@ func VecMat(p *Pool, x Vector, a *Matrix, y Vector) {
 		return
 	}
 	y.Zero()
-	for i := 0; i < a.Rows; i++ {
-		Axpy(x[i], a.Row(i), y)
+	wsumRowsImpl(x, a.Data[:a.Rows*a.Cols], y, 0)
+}
+
+// DotRows computes y[i] = Dot(a.Row(lo+i), x) for every i < len(y) —
+// the inner-product row loop u·M_INᵀ of a hop (§3) — in one dispatched
+// kernel call. On every tier the result is bit-identical to calling
+// that tier's Dot once per row; the fast tiers just drop the per-row
+// call overhead and, on avx2, keep the reduction in registers.
+//
+//mnnfast:hotpath
+func DotRows(a *Matrix, lo int, x, y Vector) {
+	if a.Cols != len(x) || lo < 0 || lo+len(y) > a.Rows {
+		panic(fmt.Sprintf("tensor: DotRows shape mismatch A=%dx%d lo=%d x=%d y=%d", a.Rows, a.Cols, lo, len(x), len(y)))
 	}
+	dotRowsImpl(a.Data[lo*a.Cols:(lo+len(y))*a.Cols], x, y)
+}
+
+// WeightedSumRows accumulates y += p[i]·a.Row(lo+i) over i ascending —
+// the weighted-sum row loop Σ pᵢ·m_iᴼᵁᵀ of a hop (§3) — in one
+// dispatched kernel call. A row is skipped when skip > 0 && p[i] < skip
+// (zero-skipping, Algorithm 1); those rows are counted and the count is
+// returned. Otherwise the row is accumulated exactly as the tier's Axpy
+// would, so on every tier the result is bit-identical to the per-row
+// loop "if skip > 0 && p[i] < skip { continue }; Axpy(p[i], row, y)" —
+// including the fast tiers' a == 0 fast-out, which skips zero weights
+// without counting them.
+//
+//mnnfast:hotpath
+func WeightedSumRows(p Vector, a *Matrix, lo int, y Vector, skip float32) int {
+	if a.Cols != len(y) || lo < 0 || lo+len(p) > a.Rows {
+		panic(fmt.Sprintf("tensor: WeightedSumRows shape mismatch p=%d A=%dx%d lo=%d y=%d", len(p), a.Rows, a.Cols, lo, len(y)))
+	}
+	return wsumRowsImpl(p, a.Data[lo*a.Cols:(lo+len(p))*a.Cols], y, skip)
+}
+
+// dotRowsGo is the portable DotRows tier: dotGo per row.
+//
+//mnnfast:hotpath
+func dotRowsGo(a []float32, x, y Vector) {
+	c := len(x)
+	for i := range y {
+		y[i] = dotGo(a[i*c:(i+1)*c], x)
+	}
+}
+
+// wsumRowsGo is the portable WeightedSumRows tier: axpyGo (with its
+// a == 0 fast-out) per surviving row.
+//
+//mnnfast:hotpath
+func wsumRowsGo(p Vector, a []float32, y Vector, skip float32) int {
+	c := len(y)
+	skipped := 0
+	for i, w := range p {
+		if skip > 0 && w < skip {
+			skipped++
+			continue
+		}
+		axpyGo(w, a[i*c:(i+1)*c], y)
+	}
+	return skipped
 }
 
 // MatMul computes C = A·B with a cache-blocked i-k-j loop order. A is

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math"
+
 // Go declarations for the AVX2 assembly kernels (kernels_amd64.s) and
 // the thin wrappers that adapt them to the dispatch table. The
 // //mnnfast:asm twin= directives name each kernel's scalar reference;
@@ -30,6 +32,14 @@ func addAVX2(v, w Vector)
 //go:noescape
 func expIntoAVX2(dst, src Vector, shift float32, acc *[4]float64) int
 
+//mnnfast:asm twin=DotRowsScalar
+//go:noescape
+func dotRowsAVX2(a []float32, x, y Vector)
+
+//mnnfast:asm twin=WeightedSumRowsScalar
+//go:noescape
+func wsumRowsAVX2(p Vector, a []float32, y Vector, skip float32) int
+
 // expKernelConstsRef exposes the assembly constant table for
 // TestExpConstantsMatchAsm; it is never on the serving path.
 //
@@ -45,6 +55,21 @@ func axpyAVX2Tier(a float32, x, y Vector) {
 		return
 	}
 	axpyAVX2(a, x, y)
+}
+
+// wsumRowsAVX2Tier maps a disabled threshold (skip <= 0 or NaN) to
+// -Inf, which no weight is below, and leaves zero-column blocks — which
+// only need the skip count — to the go tier.
+//
+//mnnfast:hotpath
+func wsumRowsAVX2Tier(p Vector, a []float32, y Vector, skip float32) int {
+	if len(y) == 0 {
+		return wsumRowsGo(p, a, y, skip)
+	}
+	if !(skip > 0) {
+		skip = float32(math.Inf(-1))
+	}
+	return wsumRowsAVX2(p, a, y, skip)
 }
 
 // expIntoAVX2Tier runs the assembly body over the multiple-of-4 prefix

@@ -387,3 +387,411 @@ TEXT ·expKernelConstsRef(SB), NOSPLIT, $0-8
 	LEAQ ·expKernelConsts(SB), AX
 	MOVQ AX, ret+0(FP)
 	RET
+
+// func dotRowsAVX2(a []float32, x, y Vector)
+//
+// y[i] = dot(row i of a, x) for every row, where a is row-major with
+// len(x) columns and len(y) rows. Each row replays dotAVX2 exactly —
+// one 8-lane accumulator in column order, the same fixed reduction,
+// the same scalar tail in index order — so every y[i] is bit-identical
+// to dotAVX2(row i, x); only the per-row call disappears. Rows run four
+// at a time with one accumulator each (the x block is loaded once for
+// all four, and the four reductions overlap), then one at a time.
+//
+// Registers: SI row pointer, DI x, CX cols, R8 y, R9 rows, R10 row
+// stride, BX row index, AX column, R11-R13 rows 1-3 of a quad, Y0-Y3
+// accumulators, Y4 x block / x element, Y5-Y8 products and reduction
+// temporaries.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-72
+	MOVQ a_base+0(FP), SI
+	MOVQ x_base+24(FP), DI
+	MOVQ x_len+32(FP), CX
+	MOVQ y_base+48(FP), R8
+	MOVQ y_len+56(FP), R9
+	MOVQ CX, R10
+	SHLQ $2, R10             // row stride in bytes
+	XORQ BX, BX              // row index
+
+drquad:
+	LEAQ 4(BX), DX
+	CMPQ DX, R9
+	JA   drrow
+	LEAQ (SI)(R10*1), R11
+	LEAQ (R11)(R10*1), R12
+	LEAQ (R12)(R10*1), R13
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ AX, AX
+
+drquad8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JA   drquadreduce
+	VMOVUPS (DI)(AX*4), Y4
+	VMOVUPS (SI)(AX*4), Y5
+	VMULPS Y4, Y5, Y5
+	VADDPS Y5, Y0, Y0
+	VMOVUPS (R11)(AX*4), Y6
+	VMULPS Y4, Y6, Y6
+	VADDPS Y6, Y1, Y1
+	VMOVUPS (R12)(AX*4), Y7
+	VMULPS Y4, Y7, Y7
+	VADDPS Y7, Y2, Y2
+	VMOVUPS (R13)(AX*4), Y8
+	VMULPS Y4, Y8, Y8
+	VADDPS Y8, Y3, Y3
+	MOVQ DX, AX
+	JMP  drquad8
+
+drquadreduce:
+	// dotAVX2's fixed reduction, once per accumulator.
+	VEXTRACTF128 $1, Y0, X5
+	VEXTRACTF128 $1, Y1, X6
+	VEXTRACTF128 $1, Y2, X7
+	VEXTRACTF128 $1, Y3, X8
+	VADDPS X5, X0, X0
+	VADDPS X6, X1, X1
+	VADDPS X7, X2, X2
+	VADDPS X8, X3, X3
+	VPERMILPS $0xEE, X0, X5
+	VPERMILPS $0xEE, X1, X6
+	VPERMILPS $0xEE, X2, X7
+	VPERMILPS $0xEE, X3, X8
+	VADDPS X5, X0, X0
+	VADDPS X6, X1, X1
+	VADDPS X7, X2, X2
+	VADDPS X8, X3, X3
+	VPERMILPS $0x55, X0, X5
+	VPERMILPS $0x55, X1, X6
+	VPERMILPS $0x55, X2, X7
+	VPERMILPS $0x55, X3, X8
+	VADDSS X5, X0, X0
+	VADDSS X6, X1, X1
+	VADDSS X7, X2, X2
+	VADDSS X8, X3, X3
+
+drquadtail:
+	CMPQ AX, CX
+	JAE  drquadstore
+	VMOVSS (DI)(AX*4), X4
+	VMOVSS (SI)(AX*4), X5
+	VMULSS X4, X5, X5
+	VADDSS X5, X0, X0
+	VMOVSS (R11)(AX*4), X6
+	VMULSS X4, X6, X6
+	VADDSS X6, X1, X1
+	VMOVSS (R12)(AX*4), X7
+	VMULSS X4, X7, X7
+	VADDSS X7, X2, X2
+	VMOVSS (R13)(AX*4), X8
+	VMULSS X4, X8, X8
+	VADDSS X8, X3, X3
+	INCQ AX
+	JMP  drquadtail
+
+drquadstore:
+	VMOVSS X0, (R8)(BX*4)
+	VMOVSS X1, 4(R8)(BX*4)
+	VMOVSS X2, 8(R8)(BX*4)
+	VMOVSS X3, 12(R8)(BX*4)
+	LEAQ (R13)(R10*1), SI
+	ADDQ $4, BX
+	JMP  drquad
+
+drrow:
+	CMPQ BX, R9
+	JAE  drdone
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+
+drloop8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JA   drreduce
+	VMOVUPS (SI)(AX*4), Y1
+	VMOVUPS (DI)(AX*4), Y2
+	VMULPS Y2, Y1, Y1
+	VADDPS Y1, Y0, Y0
+	MOVQ DX, AX
+	JMP  drloop8
+
+drreduce:
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VPERMILPS $0xEE, X0, X1
+	VADDPS X1, X0, X0
+	VPERMILPS $0x55, X0, X1
+	VADDSS X1, X0, X0
+
+drtail:
+	CMPQ AX, CX
+	JAE  drstore
+	VMOVSS (SI)(AX*4), X1
+	VMOVSS (DI)(AX*4), X2
+	VMULSS X2, X1, X1
+	VADDSS X1, X0, X0
+	INCQ AX
+	JMP  drtail
+
+drstore:
+	VMOVSS X0, (R8)(BX*4)
+	ADDQ R10, SI
+	INCQ BX
+	JMP  drrow
+
+drdone:
+	VZEROUPPER
+	RET
+
+// Lane masks for wsumRowsAVX2's last vector of a strip: the 8 dwords
+// at byte offset 4*(8-t) enable exactly the first t lanes (t = 1..8).
+GLOBL ·rowTailMask(SB), RODATA|NOPTR, $64
+DATA ·rowTailMask+0(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+4(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+8(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+12(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+16(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+20(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+24(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+28(SB)/4, $0xFFFFFFFF
+DATA ·rowTailMask+32(SB)/4, $0
+DATA ·rowTailMask+36(SB)/4, $0
+DATA ·rowTailMask+40(SB)/4, $0
+DATA ·rowTailMask+44(SB)/4, $0
+DATA ·rowTailMask+48(SB)/4, $0
+DATA ·rowTailMask+52(SB)/4, $0
+DATA ·rowTailMask+56(SB)/4, $0
+DATA ·rowTailMask+60(SB)/4, $0
+
+// func wsumRowsAVX2(p Vector, a []float32, y Vector, skip float32) int
+//
+// y += p[i]·(row i of a) for rows i ascending, where a is row-major
+// with len(y) columns and len(p) rows. Row i is skipped, and counted,
+// when skip > p[i] (the Go wrapper passes -Inf when skipping is off,
+// which no weight is below); a row whose weight is ±0 is skipped
+// uncounted, as axpyAVX2Tier's a == 0 fast-out does. Returns the count.
+// Requires len(y) > 0 (the wrapper handles the empty case).
+//
+// y is strip-mined into passes of at most 32 floats (four YMM
+// registers). Each pass loads its strip of y once, streams every row
+// through it, and stores it once; the strip's last vector goes through
+// VMASKMOVPS with a lane mask, so a 1..7-float column tail stays in a
+// register as well. Per element the operations are axpyAVX2's — a
+// separate VMULPS (x·p) then VADDPS (y + product), rows in ascending
+// order — and columns never interact, so y is bit-identical to calling
+// axpyAVX2Tier once per surviving row.
+//
+// Registers: R8 p, R9 rows, SI a, DI y, CX cols, R10 row stride, R11
+// skip count, R12 count increment (1 on the first strip, 0 after, so
+// each row is counted once), AX strip start column, R13 row pointer,
+// BX row index, X15 skip, Y14 last-vector lane mask, Y0-Y3 the strip
+// of y, Y4 the broadcast weight, Y5-Y8 products.
+TEXT ·wsumRowsAVX2(SB), NOSPLIT, $0-88
+	MOVQ p_base+0(FP), R8
+	MOVQ p_len+8(FP), R9
+	MOVQ a_base+24(FP), SI
+	MOVQ y_base+48(FP), DI
+	MOVQ y_len+56(FP), CX
+	VMOVSS skip+72(FP), X15
+	MOVQ CX, R10
+	SHLQ $2, R10
+	XORQ R11, R11
+	MOVQ $1, R12
+	XORQ AX, AX
+
+wsstrip:
+	MOVQ CX, DX
+	SUBQ AX, DX              // columns left
+	JLE  wsdone
+	CMPQ DX, $32
+	JLE  wswidth
+	MOVQ $32, DX
+
+wswidth:
+	// nv = ceil(w/8) vectors; the last enables t = w - 8(nv-1) lanes,
+	// so its mask sits at byte offset 4*(8nv - w).
+	LEAQ 7(DX), BX
+	SHRQ $3, BX
+	MOVQ BX, R13
+	SHLQ $3, R13
+	SUBQ DX, R13
+	LEAQ ·rowTailMask(SB), DX
+	VMOVUPS (DX)(R13*4), Y14
+	CMPQ BX, $4
+	JEQ  ws4
+	CMPQ BX, $3
+	JEQ  ws3
+	CMPQ BX, $2
+	JEQ  ws2
+	JMP  ws1
+
+
+ws4:
+	VMOVUPS (DI)(AX*4), Y0
+	VMOVUPS 32(DI)(AX*4), Y1
+	VMOVUPS 64(DI)(AX*4), Y2
+	VMASKMOVPS 96(DI)(AX*4), Y14, Y3
+	LEAQ (SI)(AX*4), R13
+	XORQ BX, BX
+
+ws4row:
+	CMPQ BX, R9
+	JAE  ws4store
+	VMOVSS (R8)(BX*4), X4
+	VUCOMISS X4, X15
+	JA   ws4skip            // skip > p (ordered): threshold skip
+	MOVL (R8)(BX*4), DX
+	TESTL $0x7FFFFFFF, DX
+	JZ   ws4next            // p == ±0: the a == 0 fast-out
+	VBROADCASTSS X4, Y4
+	VMOVUPS (R13), Y5
+	VMULPS Y4, Y5, Y5
+	VADDPS Y5, Y0, Y0
+	VMOVUPS 32(R13), Y6
+	VMULPS Y4, Y6, Y6
+	VADDPS Y6, Y1, Y1
+	VMOVUPS 64(R13), Y7
+	VMULPS Y4, Y7, Y7
+	VADDPS Y7, Y2, Y2
+	VMASKMOVPS 96(R13), Y14, Y8
+	VMULPS Y4, Y8, Y8
+	VADDPS Y8, Y3, Y3
+
+ws4next:
+	ADDQ R10, R13
+	INCQ BX
+	JMP  ws4row
+
+ws4skip:
+	ADDQ R12, R11
+	JMP  ws4next
+
+ws4store:
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VMOVUPS Y2, 64(DI)(AX*4)
+	VMASKMOVPS Y3, Y14, 96(DI)(AX*4)
+	JMP  wsnext
+
+ws3:
+	VMOVUPS (DI)(AX*4), Y0
+	VMOVUPS 32(DI)(AX*4), Y1
+	VMASKMOVPS 64(DI)(AX*4), Y14, Y2
+	LEAQ (SI)(AX*4), R13
+	XORQ BX, BX
+
+ws3row:
+	CMPQ BX, R9
+	JAE  ws3store
+	VMOVSS (R8)(BX*4), X4
+	VUCOMISS X4, X15
+	JA   ws3skip            // skip > p (ordered): threshold skip
+	MOVL (R8)(BX*4), DX
+	TESTL $0x7FFFFFFF, DX
+	JZ   ws3next            // p == ±0: the a == 0 fast-out
+	VBROADCASTSS X4, Y4
+	VMOVUPS (R13), Y5
+	VMULPS Y4, Y5, Y5
+	VADDPS Y5, Y0, Y0
+	VMOVUPS 32(R13), Y6
+	VMULPS Y4, Y6, Y6
+	VADDPS Y6, Y1, Y1
+	VMASKMOVPS 64(R13), Y14, Y7
+	VMULPS Y4, Y7, Y7
+	VADDPS Y7, Y2, Y2
+
+ws3next:
+	ADDQ R10, R13
+	INCQ BX
+	JMP  ws3row
+
+ws3skip:
+	ADDQ R12, R11
+	JMP  ws3next
+
+ws3store:
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VMASKMOVPS Y2, Y14, 64(DI)(AX*4)
+	JMP  wsnext
+
+ws2:
+	VMOVUPS (DI)(AX*4), Y0
+	VMASKMOVPS 32(DI)(AX*4), Y14, Y1
+	LEAQ (SI)(AX*4), R13
+	XORQ BX, BX
+
+ws2row:
+	CMPQ BX, R9
+	JAE  ws2store
+	VMOVSS (R8)(BX*4), X4
+	VUCOMISS X4, X15
+	JA   ws2skip            // skip > p (ordered): threshold skip
+	MOVL (R8)(BX*4), DX
+	TESTL $0x7FFFFFFF, DX
+	JZ   ws2next            // p == ±0: the a == 0 fast-out
+	VBROADCASTSS X4, Y4
+	VMOVUPS (R13), Y5
+	VMULPS Y4, Y5, Y5
+	VADDPS Y5, Y0, Y0
+	VMASKMOVPS 32(R13), Y14, Y6
+	VMULPS Y4, Y6, Y6
+	VADDPS Y6, Y1, Y1
+
+ws2next:
+	ADDQ R10, R13
+	INCQ BX
+	JMP  ws2row
+
+ws2skip:
+	ADDQ R12, R11
+	JMP  ws2next
+
+ws2store:
+	VMOVUPS Y0, (DI)(AX*4)
+	VMASKMOVPS Y1, Y14, 32(DI)(AX*4)
+	JMP  wsnext
+
+ws1:
+	VMASKMOVPS (DI)(AX*4), Y14, Y0
+	LEAQ (SI)(AX*4), R13
+	XORQ BX, BX
+
+ws1row:
+	CMPQ BX, R9
+	JAE  ws1store
+	VMOVSS (R8)(BX*4), X4
+	VUCOMISS X4, X15
+	JA   ws1skip            // skip > p (ordered): threshold skip
+	MOVL (R8)(BX*4), DX
+	TESTL $0x7FFFFFFF, DX
+	JZ   ws1next            // p == ±0: the a == 0 fast-out
+	VBROADCASTSS X4, Y4
+	VMASKMOVPS (R13), Y14, Y5
+	VMULPS Y4, Y5, Y5
+	VADDPS Y5, Y0, Y0
+
+ws1next:
+	ADDQ R10, R13
+	INCQ BX
+	JMP  ws1row
+
+ws1skip:
+	ADDQ R12, R11
+	JMP  ws1next
+
+ws1store:
+	VMASKMOVPS Y0, Y14, (DI)(AX*4)
+	JMP  wsnext
+
+wsnext:
+	ADDQ $32, AX
+	XORQ R12, R12
+	JMP  wsstrip
+
+wsdone:
+	VZEROUPPER
+	MOVQ R11, ret+80(FP)
+	RET

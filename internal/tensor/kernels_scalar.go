@@ -63,3 +63,35 @@ func ExpIntoScalar(dst, src Vector, shift float32) float32 {
 	}
 	return float32(sum)
 }
+
+// DotRowsScalar is the reference for DotRows: y[i] = DotScalar(row i of
+// a, x), where a is row-major with len(x) columns and len(y) rows.
+func DotRowsScalar(a []float32, x, y Vector) {
+	c := len(x)
+	if len(a) != c*len(y) {
+		panic("tensor: DotRowsScalar shape mismatch")
+	}
+	for i := range y {
+		y[i] = DotScalar(a[i*c:(i+1)*c], x)
+	}
+}
+
+// WeightedSumRowsScalar is the reference for WeightedSumRows: for each
+// row i of a (len(y) columns, len(p) rows) in ascending order, skip it
+// when skip > 0 && p[i] < skip (counted), otherwise AxpyScalar(p[i],
+// row i, y). It returns the number of rows skipped by the threshold.
+func WeightedSumRowsScalar(p Vector, a []float32, y Vector, skip float32) int {
+	c := len(y)
+	if len(a) != c*len(p) {
+		panic("tensor: WeightedSumRowsScalar shape mismatch")
+	}
+	skipped := 0
+	for i, w := range p {
+		if skip > 0 && w < skip {
+			skipped++
+			continue
+		}
+		AxpyScalar(w, a[i*c:(i+1)*c], y)
+	}
+	return skipped
+}

@@ -29,10 +29,7 @@ type matVecState struct {
 var matVecPool = sync.Pool{New: func() any {
 	s := new(matVecState)
 	s.fn = func(lo, hi int) {
-		a, x, y := s.a, s.x, s.y
-		for i := lo; i < hi; i++ {
-			y[i] = Dot(a.Row(i), x)
-		}
+		DotRows(s.a, lo, s.x, s.y[lo:hi])
 	}
 	return s
 }}
@@ -66,9 +63,7 @@ var vecMatPool = sync.Pool{New: func() any {
 		a, x := s.a, s.x
 		accp := GetVector(a.Cols)
 		acc := *accp
-		for i := lo; i < hi; i++ {
-			Axpy(x[i], a.Row(i), acc)
-		}
+		WeightedSumRows(x[lo:hi], a, lo, acc, 0)
 		s.mu.Lock()
 		s.y.AddInPlace(acc)
 		s.mu.Unlock()
