@@ -20,7 +20,7 @@ perfbench:
 # Fallback-tier coverage: downgrade the CPUID probe so kernel dispatch
 # resolves to the portable go tier (see internal/tensor/dispatch.go).
 test-notavx2:
-	GODEBUG=cpu.avx2=off,cpu.avx=off $(GO) test ./internal/tensor/... ./internal/core/...
+	GODEBUG=cpu.avx2=off,cpu.avx=off $(GO) test ./internal/tensor/... ./internal/core/... ./internal/memnn/...
 
 # Cross-engine equivalence sweep (internal/equivtest): every inference
 # configuration — serial/parallel, batched/unbatched, kernel tiers,

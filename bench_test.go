@@ -21,7 +21,6 @@ import (
 	"mnnfast/internal/experiments"
 	"mnnfast/internal/sparse"
 	"mnnfast/internal/tensor"
-	"mnnfast/internal/vocab"
 )
 
 // benchDB caches one database across engine benchmarks.
@@ -264,33 +263,6 @@ func BenchmarkEnergy(b *testing.B) {
 		r = experiments.Energy(benchCfg())
 	}
 	b.ReportMetric(r.FPGAAdvantage, "fpga-energy-advantage")
-}
-
-// BenchmarkNetworkAnswer exercises the full public API path: embedding
-// a raw question, multi-hop inference, FC layer.
-func BenchmarkNetworkAnswer(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	v := newBenchVocab()
-	n, err := core.RandomNetwork(rng, v, 1<<14, 48, 3, 16, func(m *core.Memory) core.Engine {
-		return core.NewColumn(m, core.Options{ChunkSize: 1000, SkipThreshold: 0.1})
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := n.Answer("where is john?"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func newBenchVocab() *vocab.Vocabulary {
-	v := vocab.New()
-	for _, w := range []string{"where", "is", "john", "mary", "kitchen", "garden"} {
-		v.Add(w)
-	}
-	return v
 }
 
 func itoa(n int) string {

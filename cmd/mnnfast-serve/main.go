@@ -51,6 +51,12 @@ import (
 	"mnnfast/internal/server"
 )
 
+// readHeaderTimeout bounds how long a connection may hold a server
+// goroutine before its request headers arrive. There is no
+// IdleTimeout: load generators hold keep-alive connections idle
+// between phases.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		modelPath   = flag.String("model", "", "model file from mnnfast-train (default: train one now)")
@@ -168,7 +174,7 @@ func main() {
 	// answer batches before exiting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: root}
+	httpSrv := &http.Server{Addr: *addr, Handler: root, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	select {

@@ -163,7 +163,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 	var f memnn.Forward
 	base := make([][]float32, len(fx.exs))
 	for i, ex := range fx.exs {
-		fw := model.ApplyInstrumented(ex, opt.Skip, &f, fx.stories[i], nil)
+		fw := model.ApplyGated(ex, opt.Skip, memnn.ExitPolicy{}, &f, fx.stories[i], nil)
 		base[i] = append([]float32(nil), fw.Logits...)
 	}
 
@@ -247,7 +247,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 	//     THAT baseline bit for bit.
 	model.SetTopK(memnn.TopKConfig{Enabled: true, K: 0, NProbe: 1 << 20, MinRows: 1})
 	for i, ex := range fx.exs {
-		fw := model.ApplyInstrumented(ex, opt.Skip, &f, fx.stories[i], nil)
+		fw := model.ApplyGated(ex, opt.Skip, memnn.ExitPolicy{}, &f, fx.stories[i], nil)
 		check("topk unindexed fallback", i, fw.Logits)
 	}
 	built := make(map[*memnn.EmbeddedStory]bool, len(fx.stories))
@@ -261,7 +261,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 		}
 	}
 	for i, ex := range fx.exs {
-		fw := model.ApplyInstrumented(ex, opt.Skip, &f, fx.stories[i], nil)
+		fw := model.ApplyGated(ex, opt.Skip, memnn.ExitPolicy{}, &f, fx.stories[i], nil)
 		check("topk full-probe", i, fw.Logits)
 	}
 
@@ -270,7 +270,7 @@ func runTier(t testing.TB, tier string, opt Options) {
 	model.SetTopK(memnn.TopKConfig{Enabled: true, K: 4, NProbe: 1, MinRows: 1})
 	topkBase := make([][]float32, len(fx.exs))
 	for i, ex := range fx.exs {
-		fw := model.ApplyInstrumented(ex, opt.Skip, &f, fx.stories[i], nil)
+		fw := model.ApplyGated(ex, opt.Skip, memnn.ExitPolicy{}, &f, fx.stories[i], nil)
 		topkBase[i] = append([]float32(nil), fw.Logits...)
 	}
 	for _, metric := range exitMetrics {

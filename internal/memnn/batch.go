@@ -9,37 +9,41 @@ import (
 	"mnnfast/internal/trace"
 )
 
-// Batched inference: answer several questions in one forward pass,
-// sharing every memory-row read across the questions that attend to it.
-// This is the serving-side realization of the paper's batching argument
-// (§4.1.2): with B questions in flight, each block of M_IN/M_OUT rows is
-// streamed from memory once per story group instead of once per
-// question, so throughput stays flat as concurrency grows instead of
-// degrading with redundant memory traffic.
+// The forward pass: answer a batch of questions in one pass over the
+// hops, sharing every memory-row read across the questions that attend
+// to it. This is the serving-side realization of the paper's batching
+// argument (§4.1.2): with B questions in flight, each block of
+// M_IN/M_OUT rows is streamed from memory once per story group instead
+// of once per question, so throughput stays flat as concurrency grows
+// instead of degrading with redundant memory traffic. It is also the
+// only forward pass: a single question (Apply, ApplyGated,
+// PredictGated) runs it as a batch of one on the caller's Forward, and
+// training embeds the story first and does the same.
 //
-// Bit-exactness contract: the batched pass performs exactly the same
-// float32 operations in exactly the same order per question as the
-// single-question path (applyInto with a cached EmbeddedStory). Both
-// run the exact hop through attendExact, whose row kernels
-// (tensor.DotRows, tensor.WeightedSumRows) are bit-identical on every
-// tier to one tensor.Dot per attention logit and one tensor.Axpy per
-// surviving row in ascending order. A group of one question calls each
-// kernel once over all rows; a larger group calls them per question per
-// L1-sized row block, in ascending block order — which changes which
-// rows are cache-resident, never an operation or its order. Softmax,
-// state update and output projection are per-question calls shared
-// with the single path. The equivalence tests in batch_test.go and
-// internal/equivtest pin this to the bit; any kernel change that
-// breaks it (e.g. swapping Dot for the differently-associated Dot4) is
-// a behavior change, not a refactor.
+// Bit-exactness contract: per question, the pass performs the float32
+// operations of the End-To-End Memory Networks recurrence in one fixed
+// order, whatever the batch around it. The exact hop runs through
+// attendExact, whose row kernels (tensor.DotRows,
+// tensor.WeightedSumRows) are bit-identical on every tier to one
+// tensor.Dot per attention logit and one tensor.Axpy per surviving row
+// in ascending order. A group of one question calls each kernel once
+// over all rows; a larger group calls them per question per L1-sized
+// row block, in ascending block order — which changes which rows are
+// cache-resident, never an operation or its order. Softmax, state
+// update and output projection are per-question calls. The reference
+// pass in reference_test.go (plain per-row Dot/Axpy loops) and the
+// sweeps in internal/equivtest pin this to the bit; any kernel change
+// that breaks it (e.g. swapping Dot for the differently-associated
+// Dot4) is a behavior change, not a refactor.
 
 // BatchForward holds the per-question forward state and the grouping
-// scratch of one batched predict. Buffers are reshaped grow-only and
-// reused across calls of any shape; at steady state a serving loop that
-// owns one BatchForward runs PredictBatchInto without allocating. It
+// scratch of one pass. Buffers are reshaped grow-only and reused across
+// calls of any shape; at steady state a serving loop that owns one
+// BatchForward runs PredictBatchInstrumented without allocating. It
 // must not be shared between concurrent calls.
 type BatchForward struct {
-	fs []Forward // one per question
+	own []Forward  // PredictBatchInstrumented's per-question state
+	fs  []*Forward // the pass's per-question state: views of own, or one caller's Forward
 
 	// Grouping scratch: order is a permutation of the live questions
 	// with questions that share an EmbeddedStory adjacent; groups holds
@@ -49,11 +53,11 @@ type BatchForward struct {
 	grouped []bool
 
 	// Early-exit state (see ExitPolicy): live holds the indices of
-	// questions still hopping (ascending); exits records each
-	// question's exit hop; full marks questions committed to the full
-	// path by the fallback floor. gateP is the gate softmax scratch.
+	// questions still hopping (ascending); full marks questions
+	// committed to the full path by the fallback floor. gateP is the
+	// gate softmax scratch. Each question's exit hop is its
+	// Forward.ExitHop.
 	live  []int
-	exits []int
 	full  []bool
 	gateP tensor.Vector
 
@@ -73,6 +77,15 @@ type BatchForward struct {
 	wcand   []int64 // per-worker topk surviving-candidate counters
 	wgroup  []groupVecs
 	gfn     func(worker, lo, hi int)
+}
+
+// solo is a Forward's scratch for answering one question as a batch of
+// one: one-element views of the example, its story and the Forward.
+type solo struct {
+	bf BatchForward
+	ex [1]Example
+	es [1]*EmbeddedStory
+	f  [1]*Forward
 }
 
 // groupVecs is one worker's gather of a story group's per-question
@@ -98,16 +111,18 @@ func (bf *BatchForward) runGroup(g, w int) {
 	ns := es.NS
 
 	if idx := m.topkIndex(es, k); idx != nil {
-		// Approximate attention: per question, the exact operations of
-		// the unbatched topk hop (probe, candidate top-k softmax,
-		// ascending M_OUT gather) in the same serial order, so batched
-		// and unbatched topk answers are bit-identical by construction.
-		// Block sharing is the exact path's trick; the probe already
-		// cuts the row traffic it exists to amortize.
+		// Approximate attention: per question, probe the hop's IVF
+		// index, softmax only the surviving candidates and gather only
+		// their M_OUT rows in ascending order. f.P[k] becomes the
+		// compact survivor distribution, which is what the attnmax gate
+		// and the skip threshold then see. Nothing is shared between
+		// questions, so the answer is the same bits at any batch
+		// composition. Block sharing is the exact path's trick; the
+		// probe already cuts the row traffic it exists to amortize.
 		scr := sparse.GetProbeScratch()
 		var skipped, probed, kept int64
 		for _, q := range group {
-			f := &bf.fs[q]
+			f := bf.fs[q]
 			c, ast := idx.Attend(f.U[k], m.topk.K, m.topk.NProbe, scr)
 			p := growVec(f.P[k], ast.Kept)
 			f.P[k] = p
@@ -131,7 +146,7 @@ func (bf *BatchForward) runGroup(g, w int) {
 	gs := &bf.wgroup[w]
 	gs.u, gs.p, gs.o = gs.u[:len(group)], gs.p[:len(group)], gs.o[:len(group)]
 	for i, q := range group {
-		f := &bf.fs[q]
+		f := bf.fs[q]
 		f.P[k] = growVec(f.P[k], ns)
 		f.O[k] = growVec(f.O[k], d)
 		gs.u[i], gs.p[i], gs.o[i] = f.U[k], f.P[k], f.O[k]
@@ -147,26 +162,18 @@ func (bf *BatchForward) Logits(i int) tensor.Vector { return bf.fs[i].Logits }
 // ExitHop returns the number of hops question i actually executed in
 // the last batched pass: Cfg.Hops normally, fewer when the confidence
 // gate shed it between hops.
-func (bf *BatchForward) ExitHop(i int) int { return bf.exits[i] }
+func (bf *BatchForward) ExitHop(i int) int { return bf.fs[i].ExitHop }
 
-// ensure reshapes the per-question state for a batch of n over w
-// worker slots.
+// ensure reshapes the grouping, early-exit and worker scratch for a
+// batch of n over w worker slots.
 func (bf *BatchForward) ensure(n, w int) {
-	if cap(bf.fs) < n {
-		fs := make([]Forward, n)
-		copy(fs, bf.fs[:cap(bf.fs)])
-		bf.fs = fs
-	}
-	bf.fs = bf.fs[:n]
 	if cap(bf.grouped) < n {
 		bf.grouped = make([]bool, n)
 		bf.live = make([]int, n)
-		bf.exits = make([]int, n)
 		bf.full = make([]bool, n)
 	}
 	bf.grouped = bf.grouped[:n]
 	bf.live = bf.live[:n]
-	bf.exits = bf.exits[:n]
 	bf.full = bf.full[:n]
 	for i := 0; i < n; i++ {
 		bf.live[i] = i
@@ -234,27 +241,20 @@ func (bf *BatchForward) group(stories []*EmbeddedStory, live []int) {
 	}
 }
 
-// PredictBatchInto answers every question in exs, writing the argmax
-// answer class of question i into out[i]. stories[i] supplies question
-// i's pre-embedded memories (see EmbedStoryInto); every entry must be
-// non-nil with NS matching its example. Questions sharing an
-// EmbeddedStory (pointer identity) share one pass over its rows.
-//
-//mnnfast:hotpath
-func (m *Model) PredictBatchInto(exs []Example, skipThreshold float32, stories []*EmbeddedStory, bf *BatchForward, out []int) {
-	m.PredictBatchInstrumented(exs, skipThreshold, ExitPolicy{}, stories, bf, nil, out)
-}
-
-// PredictBatchInstrumented is PredictBatchInto with an optional
-// per-stage time and skip-counter accumulator covering the whole
-// batch, and a confidence gate (see ExitPolicy; the zero policy is the
-// plain batched pass, bit for bit). With the gate armed, questions
-// whose confidence clears the threshold after a hop are shed between
-// hops: they answer immediately from the gate's W·u projection, and
-// the remaining hops dispatch over story groups rebuilt from the
-// shrunken live set — the batch's attention cost tracks the questions
-// still hopping, not the flush size. Read per-question exit hops with
-// BatchForward.ExitHop.
+// PredictBatchInstrumented answers every question in exs, writing the
+// argmax answer class of question i into out[i]. stories[i] supplies
+// question i's pre-embedded memories (see EmbedStoryInto); every entry
+// must be non-nil with NS matching its example. Questions sharing an
+// EmbeddedStory (pointer identity) share one pass over its rows. ins,
+// when non-nil, accumulates per-stage time and skip counters over the
+// whole batch. With the confidence gate armed (see ExitPolicy; the zero
+// policy is the ungated pass, bit for bit), questions whose confidence
+// clears the threshold after a hop are shed between hops: they answer
+// immediately from the gate's W·u projection, and the remaining hops
+// dispatch over story groups rebuilt from the shrunken live set — the
+// batch's attention cost tracks the questions still hopping, not the
+// flush size. Read per-question logits and exit hops with
+// BatchForward.Logits and BatchForward.ExitHop.
 //
 //mnnfast:hotpath
 func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, policy ExitPolicy, stories []*EmbeddedStory, bf *BatchForward, ins *Instrumentation, out []int) {
@@ -265,6 +265,28 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 	if n == 0 {
 		return
 	}
+	if cap(bf.own) < n {
+		own := make([]Forward, n)
+		copy(own, bf.own)
+		bf.own, bf.fs = own, make([]*Forward, n)
+	}
+	bf.fs = bf.fs[:n]
+	for q := range bf.fs {
+		bf.fs[q] = &bf.own[q]
+	}
+	m.forward(bf, exs, skipThreshold, policy, stories, ins)
+	for q, f := range bf.fs {
+		out[q] = f.Logits.ArgMax()
+	}
+}
+
+// forward runs the pass for the questions exs over their stories,
+// filling bf.fs[q] (one Forward per question, set by the caller) with
+// question q's states, attention weights, responses, logits and exit
+// hop. Every entry point answers through it (see the contract above).
+//
+//mnnfast:hotpath
+func (m *Model) forward(bf *BatchForward, exs []Example, skipThreshold float32, policy ExitPolicy, stories []*EmbeddedStory, ins *Instrumentation) {
 	for i, es := range stories {
 		if es == nil {
 			panic(fmt.Sprintf("memnn: PredictBatch question %d has nil EmbeddedStory", i))
@@ -274,11 +296,8 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 		}
 	}
 	hops, d := m.Cfg.Hops, m.Cfg.Dim
-	bf.ensure(n, m.sch.Workers())
+	bf.ensure(len(exs), m.sch.Workers())
 	live := bf.live
-	for i := range bf.exits {
-		bf.exits[i] = hops
-	}
 	bf.group(stories, live)
 	bf.m, bf.stories, bf.skip = m, stories, skipThreshold
 	gate, minH := policy.active(hops), policy.minHops()
@@ -293,9 +312,9 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 	// Question embeddings (per question — the B-table gathers touch
 	// disjoint rows, nothing to share).
 	qe := ev.Begin("embed-question", -1)
-	for q := 0; q < n; q++ {
-		f := &bf.fs[q]
+	for q, f := range bf.fs {
 		f.NS = stories[q].NS
+		f.ExitHop = hops
 		if cap(f.U) < hops+1 {
 			f.U = make([]tensor.Vector, hops+1)
 		}
@@ -315,8 +334,6 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 
 	for k := 0; k < hops; k++ {
 		he := ev.Begin("hop", -1)
-		skip0, rows0 := sumInt64(bf.wskip), sumInt64(bf.wrows)
-		probed0, cand0 := sumInt64(bf.wprobed), sumInt64(bf.wcand)
 
 		// Story groups are independent within a hop (disjoint question
 		// state), so they are the scheduler's work items: zero-skipping
@@ -326,9 +343,9 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 		m.sch.RunEvents(ev, he, 0, len(bf.groups), 1, bf.gfn)
 
 		// State update u' = u + o (adjacent) or u' = H·u + o
-		// (layer-wise), per question exactly as the single path does it.
+		// (layer-wise), per question.
 		for _, q := range live {
-			f := &bf.fs[q]
+			f := bf.fs[q]
 			f.U[k+1] = growVec(f.U[k+1], d)
 			if m.Cfg.Tying == TyingLayerwise {
 				tensor.MatVec(nil, m.H, f.U[k], f.U[k+1])
@@ -337,23 +354,29 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 			}
 			f.U[k+1].AddInPlace(f.O[k])
 		}
+		// The per-worker counters fold deterministically: each group's
+		// counts are fixed, and integer addition is order-free.
+		skipped, rows := take(bf.wskip), take(bf.wrows)
+		probed, kept := take(bf.wprobed), take(bf.wcand)
 		ev.Annotate(he, "hop", int64(k))
-		ev.Annotate(he, "skipped", sumInt64(bf.wskip)-skip0)
-		ev.Annotate(he, "rows", sumInt64(bf.wrows)-rows0)
-		if probed := sumInt64(bf.wprobed) - probed0; probed > 0 {
+		ev.Annotate(he, "skipped", skipped)
+		ev.Annotate(he, "rows", rows)
+		if probed > 0 {
 			ev.Annotate(he, "topk_probed", probed)
-			ev.Annotate(he, "topk_kept", sumInt64(bf.wcand)-cand0)
+			ev.Annotate(he, "topk_kept", kept)
 		}
 		ev.End(he)
 		if ins != nil {
+			ins.SkippedRows += skipped
+			ins.TotalRows += rows
+			ins.ProbedRows += probed
+			ins.CandRows += kept
 			lap(&mark, &ins.AttentionNS)
 		}
 
 		// Confidence gate: score every live, uncommitted question and
 		// shed the ones that clear the threshold — their answer is the
-		// gate's W·u projection (the final projection's MatVec, so shed
-		// answers are bit-identical to the same query exiting
-		// unbatched). The
+		// gate's W·u projection, the final projection's MatVec. The
 		// remaining hops then run on story groups rebuilt from the
 		// shrunken live set.
 		if h := k + 1; gate && h >= minH && h < hops {
@@ -368,7 +391,7 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 			if shed > 0 {
 				w := 0
 				for _, q := range live {
-					if bf.exits[q] == hops {
+					if bf.fs[q].ExitHop == hops {
 						live[w] = q
 						w++
 					}
@@ -381,24 +404,14 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 			}
 		}
 	}
-	if ins != nil {
-		// Per-worker counters fold deterministically: each group's
-		// counts are fixed, and integer addition is order-free.
-		for i := range bf.wskip {
-			ins.SkippedRows += bf.wskip[i]
-			ins.TotalRows += bf.wrows[i]
-			ins.ProbedRows += bf.wprobed[i]
-			ins.CandRows += bf.wcand[i]
-		}
-	}
 	bf.m, bf.stories = nil, nil // do not pin caller data between batches
 
-	// Output projection, per question as in the single path. Only the
-	// questions that ran all hops are projected here; shed questions
-	// already hold their exit logits from the gate.
+	// Output projection. Only the questions that ran all hops are
+	// projected here; shed questions already hold their exit logits
+	// from the gate.
 	oe := ev.Begin("output", -1)
 	for _, q := range live {
-		f := &bf.fs[q]
+		f := bf.fs[q]
 		f.Logits = growVec(f.Logits, m.Cfg.Answers)
 		tensor.MatVec(nil, m.W, f.U[hops], f.Logits)
 	}
@@ -406,21 +419,14 @@ func (m *Model) PredictBatchInstrumented(exs []Example, skipThreshold float32, p
 	if ins != nil {
 		lap(&mark, &ins.OutputNS)
 	}
-	for q := 0; q < n; q++ {
-		out[q] = bf.fs[q].Logits.ArgMax()
-	}
 }
 
 // gateBatch scores every live, uncommitted question after hop h (state
 // U[h], attention P[h-1]) and marks the ones clearing the policy
-// threshold as exited (bf.exits[q] = h), leaving their Logits at the
+// threshold as exited (ExitHop = h), leaving their Logits at the
 // gate's W·u projection. A confidence below the fallback floor commits
 // the question to the full path instead (no further gate projections).
 // Returns the number of questions shed.
-//
-// Bit-exactness: the exit logits are the serial MatVec of the unbatched
-// gate (gateConfidence), so a question shed at hop h in a batch answers
-// bit-identically to the same question exiting at hop h unbatched.
 //
 //mnnfast:hotpath
 func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int) int {
@@ -430,7 +436,7 @@ func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int
 			if bf.full[q] {
 				continue
 			}
-			f := &bf.fs[q]
+			f := bf.fs[q]
 			f.Logits = growVec(f.Logits, answers)
 			tensor.MatVec(nil, m.W, f.U[h], f.Logits)
 		}
@@ -441,7 +447,7 @@ func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int
 		if bf.full[q] {
 			continue
 		}
-		f := &bf.fs[q]
+		f := bf.fs[q]
 		var conf float32
 		if policy.Metric == ExitAttnMax {
 			conf = f.P[k].Max()
@@ -456,7 +462,7 @@ func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int
 				f.Logits = growVec(f.Logits, answers)
 				tensor.MatVec(nil, m.W, f.U[h], f.Logits)
 			}
-			bf.exits[q] = h
+			f.ExitHop = h
 			shed++
 		} else if fb > 0 && conf < fb {
 			bf.full[q] = true
@@ -465,14 +471,14 @@ func (m *Model) gateBatch(bf *BatchForward, live []int, policy ExitPolicy, h int
 	return shed
 }
 
-// sumInt64 folds a counter slice; used for per-hop skip deltas in the
-// traced batch path.
+// take returns the sum of a per-worker counter slice and zeroes it.
 //
 //mnnfast:hotpath
-func sumInt64(a []int64) int64 {
+func take(a []int64) int64 {
 	var s int64
-	for _, v := range a {
+	for i, v := range a {
 		s += v
+		a[i] = 0
 	}
 	return s
 }

@@ -98,11 +98,11 @@ func TestPredictBatchEquivalence(t *testing.T) {
 		c := randBatchCase(t, rng, batch)
 
 		out := make([]int, batch)
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out)
 
 		var f Forward
 		for q := range c.exs {
-			want := c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], nil)
+			want := c.model.ApplyGated(c.exs[q], c.th, ExitPolicy{}, &f, c.stories[q], nil)
 			got := bf.Logits(q)
 			if len(got) != len(want.Logits) {
 				t.Fatalf("case %d q %d: logits length %d != %d", cases, q, len(got), len(want.Logits))
@@ -124,16 +124,16 @@ func TestPredictBatchEquivalence(t *testing.T) {
 }
 
 // TestPredictBatchMatchesUncachedPath pins the other half of the chain:
-// the cached-embedding path (EmbedStoryInto + ApplyInstrumented) is
-// itself bit-identical to the plain ApplyInto that embeds per call, so
+// the cached-embedding path (EmbedStoryInto + ApplyGated) is itself
+// bit-identical to ApplyGated embedding the story per call, so
 // batched answers equal the from-scratch single-Infer path too.
 func TestPredictBatchMatchesUncachedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 50; iter++ {
 		c := randBatchCase(t, rng, 1)
 		var f, f2 Forward
-		cached := c.model.ApplyInstrumented(c.exs[0], c.th, &f, c.stories[0], nil)
-		plain := c.model.ApplyInto(c.exs[0], c.th, &f2)
+		cached := c.model.ApplyGated(c.exs[0], c.th, ExitPolicy{}, &f, c.stories[0], nil)
+		plain := c.model.ApplyGated(c.exs[0], c.th, ExitPolicy{}, &f2, nil, nil)
 		for i := range plain.Logits {
 			if math.Float32bits(cached.Logits[i]) != math.Float32bits(plain.Logits[i]) {
 				t.Fatalf("iter %d: cached logit %d = %x, plain %x", iter, i,
@@ -156,7 +156,7 @@ func TestPredictBatchInstrumentationCounts(t *testing.T) {
 	var want Instrumentation
 	var f Forward
 	for q := range c.exs {
-		c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], &want)
+		c.model.ApplyGated(c.exs[q], c.th, ExitPolicy{}, &f, c.stories[q], &want)
 	}
 	if ins.TotalRows != want.TotalRows || ins.SkippedRows != want.SkippedRows {
 		t.Errorf("batch rows skipped/total = %d/%d, single-path %d/%d",
@@ -184,18 +184,18 @@ func TestPredictBatchValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("length mismatch", func() {
-		c.model.PredictBatchInto(c.exs, 0, c.stories[:1], &bf, out)
+		c.model.PredictBatchInstrumented(c.exs, 0, ExitPolicy{}, c.stories[:1], &bf, nil, out)
 	})
 	mustPanic("nil story", func() {
-		c.model.PredictBatchInto(c.exs, 0, []*EmbeddedStory{c.stories[0], nil}, &bf, out)
+		c.model.PredictBatchInstrumented(c.exs, 0, ExitPolicy{}, []*EmbeddedStory{c.stories[0], nil}, &bf, nil, out)
 	})
 	mustPanic("NS mismatch", func() {
 		bad := &EmbeddedStory{NS: c.stories[1].NS + 1, MemIn: c.stories[1].MemIn, MemOut: c.stories[1].MemOut}
-		c.model.PredictBatchInto(c.exs, 0, []*EmbeddedStory{c.stories[0], bad}, &bf, out)
+		c.model.PredictBatchInstrumented(c.exs, 0, ExitPolicy{}, []*EmbeddedStory{c.stories[0], bad}, &bf, nil, out)
 	})
 
 	// Empty batch is a no-op, not a panic.
-	c.model.PredictBatchInto(nil, 0, nil, &bf, nil)
+	c.model.PredictBatchInstrumented(nil, 0, ExitPolicy{}, nil, &bf, nil, nil)
 }
 
 // TestPredictBatchAllocs: at steady state the batched pass allocates
@@ -209,9 +209,9 @@ func TestPredictBatchAllocs(t *testing.T) {
 	c := randBatchCase(t, rng, 8)
 	var bf BatchForward
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out) // warm buffers
+	c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out) // warm buffers
 	allocs := testing.AllocsPerRun(50, func() {
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out)
 	})
 	if allocs != 0 {
 		t.Errorf("batched predict allocates %v per batch, want 0", allocs)
@@ -254,14 +254,14 @@ func TestPredictBatchParallelEquivalence(t *testing.T) {
 
 		var serial BatchForward
 		out := make([]int, batch)
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &serial, out)
+		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &serial, nil, out)
 
 		for _, p := range []int{1, 2, 4, 8} {
 			pool := tensor.NewPool(p)
 			c.model.SetParallel(pool)
 			var bf BatchForward
 			pout := make([]int, batch)
-			c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, pout)
+			c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, pout)
 			for q := 0; q < batch; q++ {
 				if pout[q] != out[q] {
 					t.Fatalf("iter %d P=%d q %d: answer %d, serial %d", iter, p, q, pout[q], out[q])
@@ -292,9 +292,9 @@ func TestPredictBatchParallelAllocs(t *testing.T) {
 	c.model.SetParallel(pool)
 	var bf BatchForward
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out) // warm buffers
+	c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out) // warm buffers
 	allocs := testing.AllocsPerRun(50, func() {
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out)
 	})
 	if allocs != 0 {
 		t.Errorf("parallel batched predict allocates %v per batch, want 0", allocs)
@@ -342,7 +342,7 @@ func TestPredictBatchBlockwiseEquivalence(t *testing.T) {
 			c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, &ins, out)
 			var f Forward
 			for q := range c.exs {
-				single := c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], &want)
+				single := c.model.ApplyGated(c.exs[q], c.th, ExitPolicy{}, &f, c.stories[q], &want)
 				for i, w := range single.Logits {
 					if got := bf.Logits(q)[i]; math.Float32bits(got) != math.Float32bits(w) {
 						t.Fatalf("%s th=%v q %d: logit %d = %x, single path %x", tying, th, q, i,
@@ -423,17 +423,17 @@ func TestExactHopAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	c := blockCase(t, rng, TyingAdjacent, 1e-3)
 	var f Forward
-	c.model.ApplyInstrumented(c.exs[0], c.th, &f, c.stories[0], nil) // warm buffers
+	c.model.ApplyGated(c.exs[0], c.th, ExitPolicy{}, &f, c.stories[0], nil) // warm buffers
 	if allocs := testing.AllocsPerRun(20, func() {
-		c.model.ApplyInstrumented(c.exs[0], c.th, &f, c.stories[0], nil)
+		c.model.ApplyGated(c.exs[0], c.th, ExitPolicy{}, &f, c.stories[0], nil)
 	}); allocs != 0 {
 		t.Errorf("single exact pass allocates %v, want 0", allocs)
 	}
 	var bf BatchForward
 	out := make([]int, len(c.exs))
-	c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out) // warm buffers
+	c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out) // warm buffers
 	if allocs := testing.AllocsPerRun(20, func() {
-		c.model.PredictBatchInto(c.exs, c.th, c.stories, &bf, out)
+		c.model.PredictBatchInstrumented(c.exs, c.th, ExitPolicy{}, c.stories, &bf, nil, out)
 	}); allocs != 0 {
 		t.Errorf("block-wise batched pass allocates %v, want 0", allocs)
 	}

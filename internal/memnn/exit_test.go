@@ -102,21 +102,22 @@ func TestExitThresholdMonotonicity(t *testing.T) {
 }
 
 // TestExitZeroPolicyBitIdentical: the zero policy must be the ungated
-// pass, bit for bit — ApplyGated with ExitPolicy{} and ApplyInto see
-// the same code path.
+// pass — the plain reference of reference_test.go — bit for bit.
 func TestExitZeroPolicyBitIdentical(t *testing.T) {
 	m, c := exitFixture(t)
-	var f, g Forward
+	var es EmbeddedStory
+	var g Forward
 	for i, ex := range c.Test {
-		want := m.ApplyInto(ex, 0.01, &f)
+		m.EmbedStoryInto(ex, &es)
+		want := referenceForward(m, ex, &es, 0.01)
 		got := m.ApplyGated(ex, 0.01, ExitPolicy{}, &g, nil, nil)
 		if got.ExitHop != m.Cfg.Hops {
 			t.Fatalf("q %d: zero policy exit hop %d, want %d", i, got.ExitHop, m.Cfg.Hops)
 		}
-		for j := range want.Logits {
-			if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
+		for j := range want.logits {
+			if math.Float32bits(got.Logits[j]) != math.Float32bits(want.logits[j]) {
 				t.Fatalf("q %d logit %d: gated-zero %x != ungated %x", i, j,
-					math.Float32bits(got.Logits[j]), math.Float32bits(want.Logits[j]))
+					math.Float32bits(got.Logits[j]), math.Float32bits(want.logits[j]))
 			}
 		}
 	}
@@ -144,7 +145,7 @@ func TestExitFallbackCommits(t *testing.T) {
 		if got.ExitHop != m.Cfg.Hops {
 			continue // exited at MinHops; covered by the shedding tests
 		}
-		want := m.ApplyInto(ex, 0, &f)
+		want := m.ApplyGated(ex, 0, ExitPolicy{}, &f, nil, nil)
 		for j := range want.Logits {
 			if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
 				t.Fatalf("q %d logit %d: committed %x != ungated %x", i, j,
@@ -338,7 +339,7 @@ func FuzzExitPolicy(f *testing.F) {
 				t.Fatalf("exit hop %d with unfireable threshold %v", got.ExitHop, th)
 			}
 			var f Forward
-			want := m.ApplyInto(ex, 0.01, &f)
+			want := m.ApplyGated(ex, 0.01, ExitPolicy{}, &f, nil, nil)
 			for j := range want.Logits {
 				if math.Float32bits(got.Logits[j]) != math.Float32bits(want.Logits[j]) {
 					t.Fatalf("logit %d: gated %x != full %x under unfireable policy %+v", j,

@@ -273,7 +273,7 @@ func TestSaveLoadLayerwise(t *testing.T) {
 		t.Error("H not preserved through save/load")
 	}
 	for _, ex := range c.Test {
-		if m.Predict(ex) != m2.Predict(ex) {
+		if m.PredictSkip(ex, 0) != m2.PredictSkip(ex, 0) {
 			t.Fatal("layer-wise loaded model predicts differently")
 		}
 	}

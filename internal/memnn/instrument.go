@@ -30,8 +30,8 @@ type Instrumentation struct {
 	CandRows    int64 // rows surviving the topk cut into softmax + weighted sum
 
 	// Ev, when non-nil, receives per-stage trace events
-	// (embed-question/embed-memory/hop/output, plus the scheduler's
-	// per-worker events in the batched path) with skipped-row
+	// (embed-question/embed-memory/hop/gate/output, plus the
+	// scheduler's per-worker events) with skipped-row
 	// annotations. Reset nils it; callers re-attach their buffer after
 	// each Reset. Event recording only reads clocks and writes into the
 	// fixed buffer — it never changes what the forward pass computes,
@@ -57,7 +57,7 @@ func lap(mark *time.Time, acc *int64) {
 // their count — not on the question — so a serving session that answers
 // several questions against an unchanged story can embed once and reuse
 // the matrices, the serving-side analogue of the paper's embedding
-// cache (§3.3). The matrices are read-only during ApplyInstrumented, so
+// cache (§3.3). The matrices are read-only during a forward pass, so
 // one EmbeddedStory may serve concurrent readers; invalidate (re-embed)
 // whenever the story changes, since the temporal encoding bakes in the
 // sentence count.
@@ -104,24 +104,4 @@ func (m *Model) EmbedStoryInto(ex Example, es *EmbeddedStory) {
 			m.encodeInto(m.embOut(k), ex.Sentences[i], m.temporalRow(m.TimeOut[ti], i, ns), out.Row(i))
 		}
 	}
-}
-
-// ApplyInstrumented is ApplyInto with two optional extras: es, a cached
-// EmbeddedStory whose matrices replace the per-call memory embedding
-// (es.NS must match the example's sentence count), and ins, a per-stage
-// time and skip-counter accumulator. Either may be nil. With es set,
-// f.MemIn/f.MemOut are left untouched (the trainer's introspection of
-// them does not apply to the cached inference path).
-//
-//mnnfast:hotpath
-func (m *Model) ApplyInstrumented(ex Example, skipThreshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation) *Forward {
-	return m.applyInto(ex, skipThreshold, f, es, ins, ExitPolicy{})
-}
-
-// PredictInstrumented returns the argmax answer class using the cached
-// embedded story and instrumentation plumbing of ApplyInstrumented.
-//
-//mnnfast:hotpath
-func (m *Model) PredictInstrumented(ex Example, threshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation) int {
-	return m.applyInto(ex, threshold, f, es, ins, ExitPolicy{}).Logits.ArgMax()
 }

@@ -25,9 +25,10 @@ func instrumentCorpus(t *testing.T) (*Model, *Corpus) {
 	return m, c
 }
 
-// TestApplyInstrumentedMatchesApply checks that the instrumented and
-// embedded-story-cached paths are bit-identical to the plain forward
-// pass across examples and skip thresholds.
+// TestApplyInstrumentedMatchesApply checks that the instrumented,
+// embedded-story-cached pass (ApplyGated with a story and an
+// Instrumentation) is bit-identical to Apply across examples and skip
+// thresholds.
 func TestApplyInstrumentedMatchesApply(t *testing.T) {
 	m, c := instrumentCorpus(t)
 	var es EmbeddedStory
@@ -36,7 +37,7 @@ func TestApplyInstrumentedMatchesApply(t *testing.T) {
 		for i, ex := range c.Train[:12] {
 			want := m.Apply(ex, th)
 			m.EmbedStoryInto(ex, &es)
-			got := m.ApplyInstrumented(ex, th, new(Forward), &es, &ins)
+			got := m.ApplyGated(ex, th, ExitPolicy{}, new(Forward), &es, &ins)
 			if len(want.Logits) != len(got.Logits) {
 				t.Fatalf("logit lengths differ")
 			}
@@ -46,8 +47,8 @@ func TestApplyInstrumentedMatchesApply(t *testing.T) {
 						th, i, j, got.Logits[j], want.Logits[j])
 				}
 			}
-			if want.Logits.ArgMax() != m.PredictInstrumented(ex, th, new(Forward), &es, &ins) {
-				t.Fatalf("th=%v ex=%d: PredictInstrumented disagrees", th, i)
+			if want.Logits.ArgMax() != m.PredictGated(ex, th, ExitPolicy{}, new(Forward), &es, &ins) {
+				t.Fatalf("th=%v ex=%d: PredictGated disagrees", th, i)
 			}
 		}
 	}
@@ -59,7 +60,7 @@ func TestInstrumentationCounters(t *testing.T) {
 	m, c := instrumentCorpus(t)
 	ex := c.Train[0]
 	var ins Instrumentation
-	m.PredictInstrumented(ex, 0, new(Forward), nil, &ins)
+	m.PredictGated(ex, 0, ExitPolicy{}, new(Forward), nil, &ins)
 	if ins.EmbedNS <= 0 || ins.AttentionNS <= 0 || ins.OutputNS < 0 {
 		t.Errorf("stage times not populated: %+v", ins)
 	}
@@ -73,7 +74,7 @@ func TestInstrumentationCounters(t *testing.T) {
 	if ins.TotalRows != 0 {
 		t.Fatal("Reset did not zero counters")
 	}
-	m.PredictInstrumented(ex, 2, new(Forward), nil, &ins)
+	m.PredictGated(ex, 2, ExitPolicy{}, new(Forward), nil, &ins)
 	if ins.SkippedRows != wantRows {
 		t.Errorf("threshold 2 skipped %d of %d rows, want all", ins.SkippedRows, ins.TotalRows)
 	}
@@ -82,8 +83,8 @@ func TestInstrumentationCounters(t *testing.T) {
 	var es EmbeddedStory
 	m.EmbedStoryInto(ex, &es)
 	var cached, plain Instrumentation
-	m.PredictInstrumented(ex, 0, new(Forward), &es, &cached)
-	m.PredictInstrumented(ex, 0, new(Forward), nil, &plain)
+	m.PredictGated(ex, 0, ExitPolicy{}, new(Forward), &es, &cached)
+	m.PredictGated(ex, 0, ExitPolicy{}, new(Forward), nil, &plain)
 	if cached.TotalRows != plain.TotalRows {
 		t.Errorf("cached path row accounting differs: %d vs %d", cached.TotalRows, plain.TotalRows)
 	}
@@ -106,7 +107,7 @@ func TestEmbeddedStoryMismatchPanics(t *testing.T) {
 			t.Error("stale EmbeddedStory accepted")
 		}
 	}()
-	m.ApplyInstrumented(short, 0, new(Forward), &es, nil)
+	m.ApplyGated(short, 0, ExitPolicy{}, new(Forward), &es, nil)
 }
 
 // TestEmbedStoryIntoReuse checks grow-only buffer reuse across stories
@@ -127,7 +128,7 @@ func TestEmbedStoryIntoReuse(t *testing.T) {
 	}
 	m.EmbedStoryInto(long, &es)
 	want := m.Apply(long, 0)
-	got := m.ApplyInstrumented(long, 0, new(Forward), &es, nil)
+	got := m.ApplyGated(long, 0, ExitPolicy{}, new(Forward), &es, nil)
 	for j := range want.Logits {
 		if want.Logits[j] != got.Logits[j] {
 			t.Fatalf("after regrow, logit %d: %v != %v", j, got.Logits[j], want.Logits[j])

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mnnfast/internal/sched"
-	"mnnfast/internal/sparse"
 	"mnnfast/internal/tensor"
 	"mnnfast/internal/trace"
 )
@@ -185,8 +184,8 @@ func (m *Model) timeIdx(k int) int {
 type Forward struct {
 	NS     int              // number of story sentences
 	U      []tensor.Vector  // Hops+1 internal states (U[0] = question)
-	MemIn  []*tensor.Matrix // per hop: ns×d input memory (embedded)
-	MemOut []*tensor.Matrix // per hop: ns×d output memory (embedded)
+	MemIn  []*tensor.Matrix // per hop: ns×d input memory (embedded; see ApplyGated)
+	MemOut []*tensor.Matrix // per hop: ns×d output memory (embedded; see ApplyGated)
 	P      []tensor.Vector  // per hop: attention weights (length ns)
 	O      []tensor.Vector  // per hop: response vector
 	Logits tensor.Vector    // answer logits (length Answers)
@@ -195,9 +194,8 @@ type Forward struct {
 	// normally, fewer when a confidence gate fired (see ExitPolicy).
 	ExitHop int
 
-	// gateP is the gate's softmax scratch (length Answers); it never
-	// feeds back into the forward state.
-	gateP tensor.Vector
+	story EmbeddedStory // the story ApplyGated embeds when given none
+	solo  *solo         // ApplyGated's batch-of-one scratch
 }
 
 // posWeight returns the position-encoding factor l_kj for the j-th of J
@@ -255,13 +253,14 @@ func (m *Model) temporalRow(table *tensor.Matrix, i, ns int) tensor.Vector {
 }
 
 // Apply runs the forward pass for one example and returns all
-// intermediates. The zero-skip threshold, if positive, zeroes attention
-// weights below it before the weighted sum (the paper's Algorithm 1);
-// the skipped mass is NOT renormalized, matching the paper's FPGA
-// implementation which accumulates every exp into P_sum but skips only
-// the weighted-sum work.
+// intermediates, the embedded memories f.MemIn/f.MemOut that backprop
+// reads included. The zero-skip threshold, if positive, zeroes
+// attention weights below it before the weighted sum (the paper's
+// Algorithm 1); the skipped mass is NOT renormalized, matching the
+// paper's FPGA implementation which accumulates every exp into P_sum
+// but skips only the weighted-sum work.
 func (m *Model) Apply(ex Example, skipThreshold float32) *Forward {
-	return m.ApplyInto(ex, skipThreshold, new(Forward))
+	return m.ApplyGated(ex, skipThreshold, ExitPolicy{}, new(Forward), nil, nil)
 }
 
 // growVec returns a length-n vector reusing v's storage when possible.
@@ -286,191 +285,58 @@ func growMat(mat *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	return mat
 }
 
-// ApplyInto is Apply with a caller-provided Forward whose buffers are
-// reshaped (grow-only) and reused. A serving loop that owns one Forward
-// per goroutine runs the whole forward pass without allocating once the
-// buffers reach steady-state size. f must not be shared between
-// concurrent calls.
+// ApplyGated answers one question into the caller's Forward: the
+// batched pass run as a batch of one, filling f.U, f.P, f.O, f.Logits
+// and f.ExitHop in place. Its buffers are reshaped grow-only, so a
+// serving loop that owns one Forward per goroutine allocates nothing
+// at steady state; f must not be shared between concurrent calls.
+//
+// es, when non-nil, supplies the story's pre-embedded memories (es.NS
+// must match the example's sentence count) and f.MemIn/f.MemOut are
+// left untouched. A nil es embeds the story into a cache owned by f
+// first — the training and evaluation path — and f.MemIn/f.MemOut
+// alias it. ins, when non-nil, accumulates per-stage time and row
+// counters. An armed policy gates each eligible hop on a confidence
+// score (see ExitPolicy): a firing gate skips the remaining hops,
+// leaving f.Logits = W·u of the exit state and f.ExitHop = the hops
+// actually run. A zero policy is the ungated pass, bit for bit.
 //
 //mnnfast:hotpath
-func (m *Model) ApplyInto(ex Example, skipThreshold float32, f *Forward) *Forward {
-	return m.applyInto(ex, skipThreshold, f, nil, nil, ExitPolicy{})
+func (m *Model) ApplyGated(ex Example, skipThreshold float32, policy ExitPolicy, f *Forward, es *EmbeddedStory, ins *Instrumentation) *Forward {
+	if es == nil {
+		var mark time.Time
+		var ev *trace.Events
+		if ins != nil {
+			mark, ev = time.Now(), ins.Ev
+		}
+		me := ev.Begin("embed-memory", -1)
+		m.EmbedStoryInto(ex, &f.story)
+		ev.End(me)
+		if ins != nil {
+			lap(&mark, &ins.EmbedNS)
+		}
+		es = &f.story
+		f.MemIn, f.MemOut = es.MemIn, es.MemOut
+	}
+	s := f.solo
+	if s == nil {
+		//mnnfast:allow hotalloc the batch-of-one scratch is built once per Forward and cached
+		s = new(solo)
+		f.solo = s
+	}
+	s.ex[0], s.es[0], s.f[0] = ex, es, f
+	s.bf.fs = s.f[:]
+	m.forward(&s.bf, s.ex[:], skipThreshold, policy, s.es[:], ins)
+	s.ex[0], s.es[0] = Example{}, nil // do not pin caller data between calls
+	return f
 }
 
-// applyInto is the forward pass shared by ApplyInto, ApplyInstrumented
-// and ApplyGated. es, when non-nil, supplies pre-embedded memories
-// for the story (skipping the per-hop encode); ins, when non-nil,
-// accumulates per-stage wall time and zero-skip counters; policy, when
-// armed, gates each eligible hop on a confidence score and exits early
-// when it clears the threshold (see exit.go for the determinism
-// contract). All paths stay allocation-free at steady state.
+// PredictGated returns the argmax answer class of ApplyGated; read
+// f.ExitHop for the hops actually run.
 //
 //mnnfast:hotpath
-func (m *Model) applyInto(ex Example, skipThreshold float32, f *Forward, es *EmbeddedStory, ins *Instrumentation, policy ExitPolicy) *Forward {
-	ns := len(ex.Sentences)
-	if ns == 0 {
-		panic("memnn: Apply on example with no story sentences")
-	}
-	if ns > m.Cfg.MaxSent {
-		panic(fmt.Sprintf("memnn: story of %d sentences exceeds MaxSent %d", ns, m.Cfg.MaxSent))
-	}
-	if es != nil && es.NS != ns {
-		panic(fmt.Sprintf("memnn: EmbeddedStory built for %d sentences applied to story of %d", es.NS, ns))
-	}
-	hops, d := m.Cfg.Hops, m.Cfg.Dim
-	f.NS = ns
-	if cap(f.U) < hops+1 {
-		f.U = make([]tensor.Vector, hops+1)
-	}
-	f.U = f.U[:hops+1]
-	if cap(f.MemIn) < hops {
-		f.MemIn = make([]*tensor.Matrix, hops)
-		f.MemOut = make([]*tensor.Matrix, hops)
-		f.P = make([]tensor.Vector, hops)
-		f.O = make([]tensor.Vector, hops)
-	}
-	f.MemIn, f.MemOut = f.MemIn[:hops], f.MemOut[:hops]
-	f.P, f.O = f.P[:hops], f.O[:hops]
-	f.ExitHop = hops
-	gate, minH := policy.active(hops), policy.minHops()
-
-	var mark time.Time
-	var ev *trace.Events
-	if ins != nil {
-		mark = time.Now()
-		ev = ins.Ev
-	}
-
-	// Question embedding.
-	qe := ev.Begin("embed-question", -1)
-	f.U[0] = growVec(f.U[0], d)
-	m.encodeInto(m.B, ex.Question, nil, f.U[0])
-	ev.End(qe)
-	if ins != nil {
-		lap(&mark, &ins.EmbedNS)
-	}
-
-	for k := 0; k < hops; k++ {
-		var in, out *tensor.Matrix
-		if es != nil {
-			in, out = es.MemIn[k], es.MemOut[k]
-		} else {
-			me := ev.Begin("embed-memory", -1)
-			in = growMat(f.MemIn[k], ns, d)
-			out = growMat(f.MemOut[k], ns, d)
-			f.MemIn[k], f.MemOut[k] = in, out
-			ti := m.timeIdx(k)
-			for i := 0; i < ns; i++ {
-				m.encodeInto(m.embIn(k), ex.Sentences[i], m.temporalRow(m.TimeIn[ti], i, ns), in.Row(i))
-				m.encodeInto(m.embOut(k), ex.Sentences[i], m.temporalRow(m.TimeOut[ti], i, ns), out.Row(i))
-			}
-			ev.Annotate(me, "hop", int64(k))
-			ev.End(me)
-			if ins != nil {
-				lap(&mark, &ins.EmbedNS)
-			}
-		}
-		he := ev.Begin("hop", -1)
-
-		o := growVec(f.O[k], d)
-		f.O[k] = o
-		skipped, rows := 0, ns
-		if idx := m.topkIndex(es, k); idx != nil {
-			// Approximate attention: probe the hop's IVF index, softmax
-			// only the surviving candidates, gather only their M_OUT
-			// rows. f.P[k] becomes the compact survivor distribution
-			// (ascending row order), which is what the attnmax gate and
-			// the skip threshold then see. Per-question, serial, and
-			// scratch-pooled: bit-identical at any parallelism or batch
-			// composition, allocation-free at steady state.
-			scr := sparse.GetProbeScratch()
-			c, ast := idx.Attend(f.U[k], m.topk.K, m.topk.NProbe, scr)
-			p := growVec(f.P[k], ast.Kept)
-			f.P[k] = p
-			copy(p, c.Weights)
-			skipped = c.WeightedSumGather(out, skipThreshold, o)
-			sparse.PutProbeScratch(scr)
-			rows = ast.Kept
-			ev.Annotate(he, "topk_probed", int64(ast.Probed))
-			ev.Annotate(he, "topk_kept", int64(ast.Kept))
-			if ins != nil {
-				ins.ProbedRows += int64(ast.Probed)
-				ins.CandRows += int64(ast.Kept)
-			}
-		} else {
-			// Exact attention over every row: p = softmax(u·M_INᵀ),
-			// o = Σ pᵢ·m_iᴼᵁᵀ with zero-skipping.
-			f.P[k] = growVec(f.P[k], ns)
-			skipped = m.attendExact(in, out, f.U[k:k+1], f.P[k:k+1], f.O[k:k+1], skipThreshold)
-		}
-
-		// Output calculation input: u' = u + o (adjacent) or
-		// u' = H·u + o (layer-wise).
-		u := growVec(f.U[k+1], d)
-		f.U[k+1] = u
-		if m.Cfg.Tying == TyingLayerwise {
-			tensor.MatVec(nil, m.H, f.U[k], u)
-		} else {
-			copy(u, f.U[k])
-		}
-		u.AddInPlace(o)
-		ev.Annotate(he, "hop", int64(k))
-		ev.Annotate(he, "skipped", int64(skipped))
-		ev.Annotate(he, "rows", int64(rows))
-		ev.End(he)
-		if ins != nil {
-			ins.SkippedRows += int64(skipped)
-			ins.TotalRows += int64(rows)
-			lap(&mark, &ins.AttentionNS)
-		}
-
-		// Confidence gate: after an eligible hop, score the state and
-		// exit early when the score clears the threshold. The gate
-		// writes only f.Logits and the gate scratch — never U, P, or O
-		// — so a pass where it never fires is bit-identical to the
-		// ungated pass (the final projection overwrites f.Logits).
-		if h := k + 1; gate && h >= minH && h < hops {
-			ge := ev.Begin("gate", -1)
-			conf := m.gateConfidence(policy.Metric, f, k)
-			fired := conf >= policy.Threshold
-			var fv int64
-			if fired {
-				fv = 1
-			}
-			ev.Annotate(ge, "hop", int64(k))
-			ev.Annotate(ge, "exit", fv)
-			ev.End(ge)
-			if ins != nil {
-				lap(&mark, &ins.GateNS)
-			}
-			if fired {
-				// Answer from the current state. The answer metrics
-				// already computed W·u into f.Logits; the attention
-				// metric pays the projection only on exit.
-				if policy.Metric == ExitAttnMax {
-					f.Logits = growVec(f.Logits, m.Cfg.Answers)
-					tensor.MatVec(nil, m.W, f.U[h], f.Logits)
-					if ins != nil {
-						lap(&mark, &ins.OutputNS)
-					}
-				}
-				f.ExitHop = h
-				return f
-			}
-			if fb := policy.fallback(); fb > 0 && conf < fb {
-				gate = false // hard question: commit to the full path
-			}
-		}
-	}
-
-	oe := ev.Begin("output", -1)
-	f.Logits = growVec(f.Logits, m.Cfg.Answers)
-	tensor.MatVec(nil, m.W, f.U[hops], f.Logits)
-	ev.End(oe)
-	if ins != nil {
-		lap(&mark, &ins.OutputNS)
-	}
-	return f
+func (m *Model) PredictGated(ex Example, skipThreshold float32, policy ExitPolicy, f *Forward, es *EmbeddedStory, ins *Instrumentation) int {
+	return m.ApplyGated(ex, skipThreshold, policy, f, es, ins).Logits.ArgMax()
 }
 
 // exactBlockBytes sizes the row blocks of a multi-question exact hop:
@@ -525,23 +391,10 @@ func (m *Model) attendExact(in, out *tensor.Matrix, us, ps, os []tensor.Vector, 
 	return skipped
 }
 
-// Predict returns the argmax answer class for the example.
-func (m *Model) Predict(ex Example) int {
-	return m.Apply(ex, 0).Logits.ArgMax()
-}
-
 // PredictSkip returns the argmax answer class with zero-skipping applied
 // at the given threshold.
 func (m *Model) PredictSkip(ex Example, threshold float32) int {
 	return m.Apply(ex, threshold).Logits.ArgMax()
-}
-
-// PredictSkipInto is PredictSkip with a caller-provided Forward reused
-// across calls — the allocation-free serving path (see ApplyInto).
-//
-//mnnfast:hotpath
-func (m *Model) PredictSkipInto(ex Example, threshold float32, f *Forward) int {
-	return m.ApplyInto(ex, threshold, f).Logits.ArgMax()
 }
 
 // NumParams returns the total trainable parameter count.

@@ -45,7 +45,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Predictions must be identical through the loaded model.
 	for _, ex := range c.Test {
-		if m.Predict(ex) != m2.Predict(ex) {
+		if m.PredictSkip(ex, 0) != m2.PredictSkip(ex, 0) {
 			t.Fatal("loaded model predicts differently")
 		}
 	}
@@ -233,6 +233,6 @@ func FuzzLoad(f *testing.F) {
 			w := m.Cfg.Vocab - 1
 			ex = Example{Question: []int{w}, Sentences: [][]int{{w}, {w, w}}[:min(2, c.MaxSent)]}
 		}
-		m.Predict(ex)
+		m.PredictSkip(ex, 0)
 	})
 }

@@ -85,7 +85,7 @@ func TestTopKFullProbeMatchesExact(t *testing.T) {
 		var fTop, fExact Forward
 		var ins Instrumentation
 
-		got := c.model.ApplyInstrumented(ex, c.th, &fTop, es, &ins)
+		got := c.model.ApplyGated(ex, c.th, ExitPolicy{}, &fTop, es, &ins)
 		gotBits := make([]uint32, len(got.Logits))
 		for i, v := range got.Logits {
 			gotBits[i] = math.Float32bits(v)
@@ -95,7 +95,7 @@ func TestTopKFullProbeMatchesExact(t *testing.T) {
 		}
 
 		c.model.SetTopK(TopKConfig{}) // exact path, same cached story
-		want := c.model.ApplyInstrumented(ex, c.th, &fExact, es, nil)
+		want := c.model.ApplyGated(ex, c.th, ExitPolicy{}, &fExact, es, nil)
 		for i := range want.Logits {
 			if gotBits[i] != math.Float32bits(want.Logits[i]) {
 				t.Fatalf("case %d: logit %d = %x, want %x (full-probe topk not bit-identical to exact)",
@@ -130,7 +130,7 @@ func TestTopKBatchedMatchesUnbatched(t *testing.T) {
 		var f Forward
 		var insU Instrumentation
 		for q := range c.exs {
-			want := c.model.ApplyInstrumented(c.exs[q], c.th, &f, c.stories[q], &insU)
+			want := c.model.ApplyGated(c.exs[q], c.th, ExitPolicy{}, &f, c.stories[q], &insU)
 			got := bf.Logits(q)
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want.Logits[i]) {
@@ -215,12 +215,12 @@ func TestBuildStoryIndexFallback(t *testing.T) {
 
 	var f, fExact Forward
 	var ins Instrumentation
-	got := m.ApplyInstrumented(ex, 0, &f, es, &ins)
+	got := m.ApplyGated(ex, 0, ExitPolicy{}, &f, es, &ins)
 	if ins.ProbedRows != 0 || ins.CandRows != 0 {
 		t.Fatalf("fallback story still probed: %+v", ins)
 	}
 	m.SetTopK(TopKConfig{})
-	want := m.ApplyInstrumented(ex, 0, &fExact, es, nil)
+	want := m.ApplyGated(ex, 0, ExitPolicy{}, &fExact, es, nil)
 	for i := range want.Logits {
 		if math.Float32bits(got.Logits[i]) != math.Float32bits(want.Logits[i]) {
 			t.Fatal("fallback path differs from exact")
@@ -306,7 +306,7 @@ func TestTopKSteadyStateAllocs(t *testing.T) {
 
 	var f Forward
 	var ins Instrumentation
-	run := func() { m.PredictInstrumented(ex, 0.001, &f, es, &ins) }
+	run := func() { m.PredictGated(ex, 0.001, ExitPolicy{}, &f, es, &ins) }
 	run() // warm Forward buffers and scratch pools
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -344,7 +344,7 @@ func TestTopKNarrowProbeTouchesFewerRows(t *testing.T) {
 
 	var f Forward
 	var ins Instrumentation
-	m.ApplyInstrumented(ex, 0, &f, es, &ins)
+	m.ApplyGated(ex, 0, ExitPolicy{}, &f, es, &ins)
 	if ins.CandRows > int64(cfg.Hops)*16 {
 		t.Fatalf("K=8 kept %d rows over %d hops", ins.CandRows, cfg.Hops)
 	}

@@ -332,6 +332,7 @@ func (m *Model) Train(examples []Example, opt TrainOptions) (*TrainResult, error
 	lr := opt.LearningRate
 	res := &TrainResult{}
 
+	var f Forward // reused: backward consumes each pass before the next
 	order := make([]int, len(examples))
 	for i := range order {
 		order[i] = i
@@ -351,8 +352,8 @@ func (m *Model) Train(examples []Example, opt TrainOptions) (*TrainResult, error
 		pending := 0
 		for _, idx := range order {
 			ex := examples[idx]
-			f := m.Apply(ex, 0)
-			total += float64(m.backward(ex, f, g))
+			m.ApplyGated(ex, 0, ExitPolicy{}, &f, nil, nil)
+			total += float64(m.backward(ex, &f, g))
 			pending++
 			if pending == batch {
 				m.step(g, lr/float32(batch), opt.ClipNorm)

@@ -30,6 +30,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -97,7 +98,7 @@ type Server struct {
 
 	// forwards recycles forward-pass buffers across answer requests:
 	// the inference core of a steady-state request allocates nothing
-	// (see memnn.ApplyInto); concurrent requests each draw their own.
+	// (see memnn.ApplyGated); concurrent requests each draw their own.
 	forwards sync.Pool
 
 	// Micro-batching (see EnableBatching / batch.go). batch is nil when
@@ -295,8 +296,7 @@ func (s *Server) handleStory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StoryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	// Validate every sentence against the frozen vocabulary before
@@ -332,8 +332,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnswerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	tr := traceFrom(r.Context())
@@ -543,6 +542,28 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
+}
+
+// maxBodyBytes caps a request body. A POST of a 32768-sentence story
+// is about 1 MiB; a body over the cap is refused with 413 after at
+// most the cap has been read.
+const maxBodyBytes = 8 << 20
+
+// decodeJSON decodes r's body into v. It answers 413 for a body over
+// maxBodyBytes and 400 for malformed JSON, and reports whether v is
+// usable.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+	} else {
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return false
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

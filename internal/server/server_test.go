@@ -178,6 +178,29 @@ func TestStoryReset(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a story body over maxBodyBytes is refused
+// with 413 before it is decoded, and leaves the session answering from
+// the story it already had.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := httptest.NewServer(testServer(t).Handler())
+	defer ts.Close()
+
+	post(t, ts, "/v1/story", "big", StoryRequest{Sentences: []string{"john went to the kitchen"}})
+	huge := strings.Repeat("john ", maxBodyBytes/5+1)
+	resp, body := post(t, ts, "/v1/story", "big", StoryRequest{Sentences: []string{huge}})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized story: status %d body %.80s, want 413", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts, "/v1/answer", "big", AnswerRequest{Question: "where is john?"})
+	var ar AnswerResponse
+	if err := json.Unmarshal(body, &ar); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("answer after oversized story: status %d body %s (%v)", resp.StatusCode, body, err)
+	}
+	if ar.Answer != "kitchen" || ar.Sentences != 1 {
+		t.Errorf("answer after oversized story = %+v, want kitchen from 1 sentence", ar)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()

@@ -9,8 +9,6 @@
 //     layer-by-layer dataflow and the Column engine implementing the
 //     column-based algorithm with lazy softmax, streaming, and
 //     zero-skipping, plus scale-out sharding;
-//   - a complete Network for end-to-end question answering (embedding,
-//     multi-hop inference, final FC layer);
 //   - the trainable end-to-end memory network (memnn) with synthetic
 //     bAbI-style datasets; and
 //   - the evaluation harness reproducing every table and figure of the
@@ -53,13 +51,6 @@ type Options = core.Options
 // Stats counts the work one or more inferences performed.
 type Stats = core.Stats
 
-// Network is a complete question-answering service: embedding table,
-// knowledge database, inference engine, and final FC layer.
-type Network = core.Network
-
-// NetworkConfig assembles a Network.
-type NetworkConfig = core.NetworkConfig
-
 // Partial is the mergeable scale-out fragment of a column-based
 // inference (running max, exponential sum, partial weighted sum).
 type Partial = core.Partial
@@ -79,9 +70,6 @@ func NewColumn(mem *Memory, opt Options) Engine { return core.NewColumn(mem, opt
 func NewSharded(mem *Memory, shards int, opt Options, parallel bool) (Engine, error) {
 	return core.NewSharded(mem, shards, opt, parallel)
 }
-
-// NewNetwork validates and builds a question-answering Network.
-func NewNetwork(cfg NetworkConfig) (*Network, error) { return core.NewNetwork(cfg) }
 
 // NewPool returns a parallel worker pool for Options.Pool; workers <= 0
 // selects GOMAXPROCS.
